@@ -75,6 +75,7 @@ from .funcalg import (
     constant_fn,
     delta_fn,
     inverse_fn,
+    is_biseparating_fn,
     is_separating_fn,
     is_strictly_separating,
     recover_pointwise,
@@ -84,7 +85,6 @@ from .funcalg import (
 )
 from .harness import (
     InstanceBundle,
-    brute_force_separating_oracle,
     gen_conjugation,
     gen_point_mixing,
     gen_pointwise,

@@ -18,8 +18,9 @@ import numpy as np
 from .config import COMPLEX, REAL, FieldConfig
 from .errors import BisepError, DimensionMismatch, RecoveryError, SchemaError, SingularMatrix
 from .funcalg import (
-    inverse_fn,
-    is_separating_fn,
+    NOT_STRICTLY_SEPARATING,
+    PointwiseForm,
+    is_biseparating_fn,
     is_strictly_separating,
     recover_pointwise,
     verify_pointwise,
@@ -38,21 +39,20 @@ from .instancefile import (
     KIND_SUPEROP,
     counterexample_to_json,
     dumps,
+    form_to_json,
     instance_from_json,
     instance_to_json,
     load_instance,
-    matrix_to_json,
     save_instance,
     save_truth,
-    scalar_to_json,
     truth_path_for,
 )
 from .separating import (
     BISEPARATING,
     FORWARD,
-    INVERSE,
     NOT_INVERTIBLE,
     NOT_SEPARATING,
+    Verdict,
     is_biseparating,
     is_separating_sampled,
 )
@@ -74,57 +74,21 @@ def _tolerances(args):
     return {"tol_rel": args.tol, "tol_abs": args.tol_abs}
 
 
+def _load(args, report, t0):
+    """The instance at ``args.path``, or None after emitting a schema_error report."""
+    try:
+        return load_instance(args.path, tol_rel=args.tol, tol_abs=args.tol_abs)
+    except SchemaError as exc:
+        report["status"] = "schema_error"
+        report["error"] = str(exc)
+        if exc.field:
+            report["field"] = exc.field
+        _emit(report, t0)
+        return None
+
+
 # ---------------------------------------------------------------------------
 # check
-
-
-def _check_superop(T, args, report):
-    verdict = is_biseparating(T)
-    report["status"] = verdict.status
-    if verdict.direction:
-        report["direction"] = verdict.direction
-    if verdict.counterexample is not None:
-        report["counterexample"] = counterexample_to_json(verdict.counterexample, T.cfg.field)
-    if args.sampled is not None and verdict.status != NOT_INVERTIBLE:
-        sampled = is_separating_sampled(T, args.sampled, args.seed)
-        report["sampled_status"] = sampled.status
-        if sampled.status == NOT_SEPARATING and verdict.status == BISEPARATING:
-            report["status"] = NOT_SEPARATING
-            report["direction"] = FORWARD
-            report["counterexample"] = counterexample_to_json(sampled.counterexample, T.cfg.field)
-    if report["status"] == BISEPARATING:
-        return EXIT_OK
-    if report["status"] == NOT_INVERTIBLE:
-        return EXIT_NOT_INVERTIBLE
-    return EXIT_FAILS
-
-
-def _check_big(T, args, report):
-    forward = is_separating_fn(T)
-    if not forward:
-        report["status"] = NOT_SEPARATING
-        report["direction"] = FORWARD
-        report["counterexample"] = counterexample_to_json(forward.counterexample, T.cfg.field)
-        return EXIT_FAILS
-    try:
-        T_inv = inverse_fn(T)
-    except SingularMatrix:
-        report["status"] = NOT_INVERTIBLE
-        return EXIT_NOT_INVERTIBLE
-    backward = is_separating_fn(T_inv)
-    if not backward:
-        report["status"] = NOT_SEPARATING
-        report["direction"] = INVERSE
-        report["counterexample"] = counterexample_to_json(backward.counterexample, T.cfg.field)
-        return EXIT_FAILS
-    strict = is_strictly_separating(T)
-    report["strictly_separating"] = bool(strict)
-    if not strict:
-        report["status"] = "not_strictly_separating"
-        report["counterexample"] = counterexample_to_json(strict.counterexample, T.cfg.field)
-        return EXIT_FAILS
-    report["status"] = BISEPARATING
-    return EXIT_OK
 
 
 def cmd_check(args):
@@ -132,21 +96,31 @@ def cmd_check(args):
     report = {"command": "check", "tolerances": _tolerances(args)}
     if args.seed is not None:
         report["seed"] = args.seed
-    try:
-        T = load_instance(args.path, tol_rel=args.tol, tol_abs=args.tol_abs)
-    except SchemaError as exc:
-        report["status"] = "schema_error"
-        report["error"] = str(exc)
-        if exc.field:
-            report["field"] = exc.field
-        _emit(report, t0)
+    T = _load(args, report, t0)
+    if T is None:
         return EXIT_ERROR
+    sampled = None
     if isinstance(T, Superoperator):
-        code = _check_superop(T, args, report)
+        verdict = is_biseparating(T)
+        if args.sampled is not None and verdict.status != NOT_INVERTIBLE:
+            sampled = is_separating_sampled(T, args.sampled, args.seed)
+            if sampled.status == NOT_SEPARATING and verdict.status == BISEPARATING:
+                verdict = Verdict(NOT_SEPARATING, sampled.counterexample, FORWARD)
     else:
-        code = _check_big(T, args, report)
+        verdict = is_biseparating_fn(T)
+        if verdict.status in (BISEPARATING, NOT_STRICTLY_SEPARATING):
+            report["strictly_separating"] = verdict.status == BISEPARATING
+    report["status"] = verdict.status
+    if verdict.direction:
+        report["direction"] = verdict.direction
+    if verdict.counterexample is not None:
+        report["counterexample"] = counterexample_to_json(verdict.counterexample, T.cfg.field)
+    if sampled is not None:
+        report["sampled_status"] = sampled.status
     _emit(report, t0)
-    return code
+    return {BISEPARATING: EXIT_OK, NOT_INVERTIBLE: EXIT_NOT_INVERTIBLE}.get(
+        verdict.status, EXIT_FAILS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,30 +130,19 @@ def cmd_check(args):
 def cmd_decompose(args):
     t0 = time.perf_counter()
     report = {"command": "decompose", "tolerances": _tolerances(args)}
-    try:
-        T = load_instance(args.path, tol_rel=args.tol, tol_abs=args.tol_abs)
-    except SchemaError as exc:
-        report["status"] = "schema_error"
-        report["error"] = str(exc)
-        if exc.field:
-            report["field"] = exc.field
-        _emit(report, t0)
+    T = _load(args, report, t0)
+    if T is None:
         return EXIT_ERROR
-    field = T.cfg.field
     try:
         if isinstance(T, Superoperator):
             form = recover_conjugation(T)
-            report["status"] = "ok"
-            report["alpha"] = scalar_to_json(form.alpha, field)
-            report["S"] = matrix_to_json(form.S, field)
-            report["residual"] = verify_form(T, form)
+            residual = verify_form(T, form)
         else:
             form = recover_pointwise(T)
-            report["status"] = "ok"
-            report["phi"] = dict(form.phi)
-            report["alpha"] = {lab: scalar_to_json(a, field) for lab, a in form.alphas.items()}
-            report["S"] = {lab: matrix_to_json(S, field) for lab, S in form.S.items()}
-            report["residual"] = verify_pointwise(T, form)
+            residual = verify_pointwise(T, form)
+        report["status"] = "ok"
+        report.update(form_to_json(form, T.cfg.field))
+        report["residual"] = residual
         _emit(report, t0)
         return EXIT_OK
     except RecoveryError as exc:
@@ -219,32 +182,23 @@ def cmd_gen(args):
     cfg = FieldConfig(field=args.field, tol_rel=args.tol, tol_abs=args.tol_abs)
     try:
         negative, eps = _parse_negative(args.negative)
-        if args.kind == KIND_SUPEROP:
-            if negative == "mixing":
-                raise ValueError("point mixing needs kind 'big_superop'")
-            bundle = None
-            if negative == "transpose":
-                instance = gen_transpose(args.n, cfg)
-            else:
-                bundle = gen_conjugation(
-                    args.n, args.seed, tuple(args.alpha), args.cond_cap, cfg
-                )
-                instance = bundle.map
-                if negative == "perturb":
-                    instance = perturb(instance, eps, args.seed)
-                    bundle = None
+        if negative == "mixing" and args.kind == KIND_SUPEROP:
+            raise ValueError("point mixing needs kind 'big_superop'")
+        if negative == "transpose" and args.kind == KIND_BIG:
+            raise ValueError("the transpose negative needs kind 'superop'")
+        bundle = None
+        if negative == "transpose":
+            instance = gen_transpose(args.n, cfg)
+        elif negative == "mixing":
+            instance = gen_point_mixing(args.k, args.n, args.seed, cfg)
         else:
-            if negative == "transpose":
-                raise ValueError("the transpose negative needs kind 'superop'")
-            bundle = None
-            if negative == "mixing":
-                instance = gen_point_mixing(args.k, args.n, args.seed, cfg)
+            if args.kind == KIND_SUPEROP:
+                bundle = gen_conjugation(args.n, args.seed, tuple(args.alpha), args.cond_cap, cfg)
             else:
                 bundle = gen_pointwise(args.k, args.n, args.seed, cfg)
-                instance = bundle.map
-                if negative == "perturb":
-                    instance = perturb(instance, eps, args.seed)
-                    bundle = None
+            instance = bundle.map
+            if negative == "perturb":
+                instance, bundle = perturb(instance, eps, args.seed), None
     except (ValueError, BisepError) as exc:
         report["status"] = "invalid_params"
         report["error"] = str(exc)
@@ -277,6 +231,19 @@ def _json_cycle(instance, tol_rel, tol_abs):
     return instance_from_json(instance_to_json(instance), tol_rel=tol_rel, tol_abs=tol_abs)
 
 
+def _compare_truth(form, truth):
+    """(same phi, worst error) of a recovered form against the generator's truth.
+
+    The error is the larger of the relative alpha error and the S error,
+    over every output point of a pointwise form; a conjugation has no phi.
+    """
+    if isinstance(form, PointwiseForm):
+        errs = [_compare_truth(form.point_form(lab), truth.point_form(lab))[1] for lab in form.phi]
+        return form.phi == truth.phi, max(errs)
+    a_err = abs(form.alpha - truth.alpha) / abs(truth.alpha)
+    return True, max(a_err, float(np.linalg.norm(form.S - truth.S)))
+
+
 def cmd_roundtrip(args):
     t0 = time.perf_counter()
     tol = args.tol
@@ -295,25 +262,27 @@ def cmd_roundtrip(args):
             if len(failed_cases) < 20:
                 failed_cases.append(name)
 
+    def positive(name, bundle, decide, recover, verify):
+        """Decide, recover and verify a generated positive after a JSON round trip."""
+        nonlocal worst_residual, worst_truth_err
+        T = _json_cycle(bundle.map, args.tol, args.tol_abs)
+        ok = decide(T).status == BISEPARATING
+        try:
+            form = recover(T)
+            residual = verify(T, form)
+        except (RecoveryError, SingularMatrix):
+            record(name, False)
+            return
+        same_phi, err = _compare_truth(form, bundle.ground_truth)
+        worst_residual = max(worst_residual, residual)
+        worst_truth_err = max(worst_truth_err, err)
+        record(name, ok and residual <= tol and same_phi and err <= truth_gate)
+
     if args.seeds > 0:
         for n in range(1, args.max_n + 1):
             for seed in range(args.seeds):
-                bundle = gen_conjugation(n, seed, cfg=cfg)
-                T = _json_cycle(bundle.map, args.tol, args.tol_abs)
-                ok = is_biseparating(T).status == BISEPARATING
-                try:
-                    form = recover_conjugation(T)
-                    residual = verify_form(T, form)
-                    worst_residual = max(worst_residual, residual)
-                    a_err = abs(form.alpha - bundle.ground_truth.alpha) / abs(
-                        bundle.ground_truth.alpha
-                    )
-                    s_err = float(np.linalg.norm(form.S - bundle.ground_truth.S))
-                    worst_truth_err = max(worst_truth_err, a_err, s_err)
-                    ok = ok and residual <= tol and a_err <= truth_gate and s_err <= truth_gate
-                except RecoveryError:
-                    ok = False
-                record(f"superop n={n} seed={seed}", ok)
+                positive(f"superop n={n} seed={seed}", gen_conjugation(n, seed, cfg=cfg),
+                         is_biseparating, recover_conjugation, verify_form)
         for n in range(2, args.max_n + 1):
             T = _json_cycle(gen_transpose(n, cfg), args.tol, args.tol_abs)
             verdict = is_biseparating(T)
@@ -322,27 +291,8 @@ def cmd_roundtrip(args):
         for k in range(1, args.max_k + 1):
             for n in range(1, min(3, args.max_n) + 1):
                 for seed in range(args.seeds):
-                    bundle = gen_pointwise(k, n, seed, cfg=cfg)
-                    T = _json_cycle(bundle.map, args.tol, args.tol_abs)
-                    ok = bool(is_separating_fn(T)) and bool(is_strictly_separating(T))
-                    try:
-                        ok = ok and bool(is_separating_fn(inverse_fn(T)))
-                        form = recover_pointwise(T)
-                        residual = verify_pointwise(T, form)
-                        worst_residual = max(worst_residual, residual)
-                        ok = ok and residual <= tol and form.phi == bundle.ground_truth.phi
-                        for lab in form.phi:
-                            a_err = abs(
-                                form.alphas[lab] - bundle.ground_truth.alphas[lab]
-                            ) / abs(bundle.ground_truth.alphas[lab])
-                            s_err = float(
-                                np.linalg.norm(form.S[lab] - bundle.ground_truth.S[lab])
-                            )
-                            worst_truth_err = max(worst_truth_err, a_err, s_err)
-                            ok = ok and a_err <= truth_gate and s_err <= truth_gate
-                    except (RecoveryError, SingularMatrix):
-                        ok = False
-                    record(f"big k={k} n={n} seed={seed}", ok)
+                    positive(f"big k={k} n={n} seed={seed}", gen_pointwise(k, n, seed, cfg=cfg),
+                             is_biseparating_fn, recover_pointwise, verify_pointwise)
         for k in range(2, args.max_k + 1):
             T = _json_cycle(gen_point_mixing(k, 2, seed=k, cfg=cfg), args.tol, args.tol_abs)
             verdict = is_strictly_separating(T)

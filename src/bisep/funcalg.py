@@ -42,6 +42,10 @@ from .errors import (
 )
 from .linalg import frob, invert, numeric_rank
 from .separating import (
+    BISEPARATING,
+    FORWARD,
+    INVERSE,
+    NOT_INVERTIBLE,
     NOT_SEPARATING,
     SEPARATING,
     Verdict,
@@ -49,6 +53,8 @@ from .separating import (
 )
 from .structure import ConjugationForm, recover_conjugation
 from .superop import Superoperator
+
+NOT_STRICTLY_SEPARATING = "not_strictly_separating"
 
 
 @dataclass(frozen=True)
@@ -362,6 +368,29 @@ def is_separating_fn(T: BigSuperoperator, cfg: FieldConfig | None = None) -> Ver
                     NOT_SEPARATING, counterexample=lifted(x, x, ce.A, ce.B, x2)
                 )
     return Verdict(SEPARATING)
+
+
+def is_biseparating_fn(T: BigSuperoperator) -> Verdict:
+    """Separating check on T, then on its inverse, then strict separation.
+
+    Returns BISEPARATING; NOT_SEPARATING with direction FORWARD or INVERSE;
+    NOT_INVERTIBLE when the forward check passes and T has no inverse; or
+    NOT_STRICTLY_SEPARATING with a strict-check witness.
+    """
+    forward = is_separating_fn(T)
+    if not forward:
+        return Verdict(NOT_SEPARATING, counterexample=forward.counterexample, direction=FORWARD)
+    try:
+        T_inv = inverse_fn(T)
+    except SingularMatrix:
+        return Verdict(NOT_INVERTIBLE)
+    backward = is_separating_fn(T_inv)
+    if not backward:
+        return Verdict(NOT_SEPARATING, counterexample=backward.counterexample, direction=INVERSE)
+    strict = is_strictly_separating(T)
+    if not strict:
+        return Verdict(NOT_STRICTLY_SEPARATING, counterexample=strict.counterexample)
+    return Verdict(BISEPARATING)
 
 
 def recover_pointwise(T: BigSuperoperator, cfg: FieldConfig | None = None) -> PointwiseForm:

@@ -1,4 +1,4 @@
-"""Seeded instance generators, perturbations, and the brute-force oracle.
+"""Seeded instance generators and perturbations.
 
 Positive instances come with their ground truth attached; negative
 instances are curated (transpose, point mixing, perturbation) rather
@@ -6,15 +6,14 @@ than random, because a generic linear map already fails the separating
 property and exercises nothing specific.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import DEFAULT, FieldConfig
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch
 from .funcalg import BigSuperoperator, DiscreteSpace, PointwiseForm, verify_pointwise
-from .separating import Verdict, is_separating_sampled
-from .linalg import frob
+from .linalg import frob, gaussian
 from .structure import ConjugationForm, gauge_normalize, verify_form
 from .superop import Superoperator, conjugation_superop
 
@@ -32,17 +31,10 @@ class InstanceBundle:
     ground_truth: ConjugationForm | PointwiseForm | None = None
 
 
-def _gauss(rng, shape, cfg):
-    g = rng.standard_normal(shape)
-    if cfg.is_complex:
-        g = g + 1j * rng.standard_normal(shape)
-    return g.astype(cfg.dtype)
-
-
 def _random_conditioned(rng, n, cond_cap, cfg):
     """Random invertible matrix with condition number at most cond_cap."""
     while True:
-        S = _gauss(rng, (n, n), cfg)
+        S = gaussian(rng, (n, n), cfg)
         s = np.linalg.svd(S, compute_uv=False)
         if s[-1] > 0 and s[0] / s[-1] <= cond_cap:
             return S
@@ -120,6 +112,8 @@ def gen_pointwise(k, n, seed, cfg: FieldConfig = DEFAULT) -> InstanceBundle:
 def gen_transpose(n, cfg: FieldConfig = DEFAULT) -> Superoperator:
     """The transposition map A -> A^T; an anti-homomorphism, hence not
     separating for n >= 2."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     mat = np.zeros((n * n, n * n), dtype=cfg.dtype)
     for p in range(n):
         for q in range(n):
@@ -160,67 +154,13 @@ def perturb(map_, eps, seed):
         raise ValueError("eps must be >= 0")
     if eps == 0:
         return map_
-    rng = np.random.default_rng(seed)
-    cfg = map_.cfg
     if isinstance(map_, Superoperator):
-        G = _gauss(rng, map_.mat.shape, cfg)
-        G /= frob(G)
-        return Superoperator(n_in=map_.n_in, n_out=map_.n_out, mat=map_.mat + eps * G, cfg=cfg)
-    if isinstance(map_, BigSuperoperator):
-        G = _gauss(rng, map_.blocks.shape, cfg)
-        G /= np.linalg.norm(G)
-        return BigSuperoperator(
-            space_in=map_.space_in,
-            space_out=map_.space_out,
-            n_in=map_.n_in,
-            n_out=map_.n_out,
-            blocks=map_.blocks + eps * G,
-            cfg=cfg,
-        )
-    raise DimensionMismatch(f"cannot perturb object of type {type(map_).__name__}")
-
-
-def brute_force_separating_oracle(
-    T: Superoperator, trials, seed, cfg: FieldConfig | None = None
-) -> Verdict:
-    """Monte-Carlo separating check for cross-validating the exact
-    scalar-identity reduction: random zero-product pairs, images
-    multiplied directly.  Shares no code with the exact checker; it is
-    the sampled path (:func:`bisep.separating.is_separating_sampled`)
-    under its oracle name."""
-    return is_separating_sampled(T, trials, seed, cfg)
-
-
-def experiment_inverse_separating(n, count, seed, cfg: FieldConfig = DEFAULT) -> dict:
-    """Empirical probe of an open question: does separating + invertible
-    force the inverse to be separating at matrix scale?
-
-    Draws a mixed pool of invertible maps, keeps the ones whose forward
-    direction is separating, and counts how many of their inverses are.
-    Returns counts only; nothing in the library asserts an answer.
-    """
-    from .separating import is_separating_exact
-    from .superop import Superoperator as _Superop
-    from .superop import inverse
-
-    rng = np.random.default_rng(seed)
-    out = {"tested": 0, "separating_invertible": 0, "inverse_separating": 0}
-    for t in range(count):
-        sub = int(rng.integers(0, 2**63))
-        if t % 3 == 0:
-            T = gen_conjugation(n, seed=sub, cfg=cfg).map
-        elif t % 3 == 1:
-            T = perturb(gen_conjugation(n, seed=sub, cfg=cfg).map, 1e-3, seed=sub)
-        else:
-            T = _Superop(n_in=n, n_out=n, mat=_gauss(rng, (n * n, n * n), cfg), cfg=cfg)
-        out["tested"] += 1
-        try:
-            T_inv = inverse(T)
-        except SingularMatrix:
-            continue
-        if is_separating_exact(T).status != "separating":
-            continue
-        out["separating_invertible"] += 1
-        if is_separating_exact(T_inv).status == "separating":
-            out["inverse_separating"] += 1
-    return out
+        attr = "mat"
+    elif isinstance(map_, BigSuperoperator):
+        attr = "blocks"
+    else:
+        raise DimensionMismatch(f"cannot perturb object of type {type(map_).__name__}")
+    values = getattr(map_, attr)
+    G = gaussian(np.random.default_rng(seed), values.shape, map_.cfg)
+    G /= frob(G)
+    return replace(map_, **{attr: values + eps * G})

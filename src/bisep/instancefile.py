@@ -5,7 +5,8 @@ Scalars follow the declared field: plain numbers for "real", two-element
 redundantly in every instance file and must read "column-major"; any
 other value is rejected so foreign files cannot be misread silently.
 Floats are emitted with 17 significant digits, which round-trips IEEE
-doubles exactly.
+doubles exactly.  A file may declare at most MAX_ENTRIES map entries; the
+header is checked before the map is allocated.
 """
 
 import json
@@ -23,6 +24,10 @@ from .superop import VEC_CONVENTION, Superoperator
 
 KIND_SUPEROP = "superop"
 KIND_BIG = "big_superop"
+
+# Largest number of map entries an instance file may declare (128 MiB of real
+# doubles), checked against the header before the map is allocated.
+MAX_ENTRIES = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,19 @@ def _common_header(obj):
     return kind, field, n_in, n_out
 
 
+def _check_size(n_in, n_out, k_in, k_out):
+    """Reject a header that declares more than MAX_ENTRIES map entries, before
+    anything of that size is allocated."""
+    per_block = n_out**2 * n_in**2
+    for entries, field in ((per_block, "n_in"), (k_out * k_in * per_block, "points_in")):
+        if entries > MAX_ENTRIES:
+            raise SchemaError(
+                f"header declares {entries} map entries (n_in = {n_in}, n_out = {n_out}, "
+                f"{k_in} x {k_out} points), over the limit of {MAX_ENTRIES}",
+                field=field,
+            )
+
+
 def instance_to_json(obj) -> dict:
     """Instance file content for a Superoperator or BigSuperoperator."""
     if isinstance(obj, Superoperator):
@@ -233,13 +251,15 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
         cfg_kwargs["tol_abs"] = tol_abs
     cfg = FieldConfig(field=field, **cfg_kwargs)
     if kind == KIND_SUPEROP:
+        _check_size(n_in, n_out, 1, 1)
         mat = matrix_from_json(
             _need(obj, "matrix", list), field, (n_out**2, n_in**2), "matrix"
         )
-        return Superoperator(n_in=n_in, n_out=n_out, mat=mat.astype(cfg.dtype), cfg=cfg)
+        return Superoperator(n_in=n_in, n_out=n_out, mat=mat, cfg=cfg)
 
     points_in = _labels_from_json(obj, "points_in")
     points_out = _labels_from_json(obj, "points_out")
+    _check_size(n_in, n_out, len(points_in), len(points_out))
     space_in = DiscreteSpace(points_in)
     space_out = DiscreteSpace(points_out)
     raw_blocks = _need(obj, "blocks", dict)
@@ -280,23 +300,22 @@ def save_instance(path, obj):
 # ground-truth certificates
 
 
+def form_to_json(form, field) -> dict:
+    """alpha and S of a ConjugationForm; phi and per-point alpha and S of a PointwiseForm."""
+    if isinstance(form, ConjugationForm):
+        return {"alpha": scalar_to_json(form.alpha, field), "S": matrix_to_json(form.S, field)}
+    if isinstance(form, PointwiseForm):
+        return {
+            "phi": dict(form.phi),
+            "alpha": {lab: scalar_to_json(a, field) for lab, a in form.alphas.items()},
+            "S": {lab: matrix_to_json(S, field) for lab, S in form.S.items()},
+        }
+    raise TypeError(f"cannot serialize {type(form).__name__} as a canonical form")
+
+
 def truth_to_json(truth, field) -> dict:
-    if isinstance(truth, ConjugationForm):
-        return {
-            "kind": "conjugation_form",
-            "field": field,
-            "alpha": scalar_to_json(truth.alpha, field),
-            "S": matrix_to_json(truth.S, field),
-        }
-    if isinstance(truth, PointwiseForm):
-        return {
-            "kind": "pointwise_form",
-            "field": field,
-            "phi": dict(truth.phi),
-            "alpha": {lab: scalar_to_json(a, field) for lab, a in truth.alphas.items()},
-            "S": {lab: matrix_to_json(S, field) for lab, S in truth.S.items()},
-        }
-    raise TypeError(f"cannot serialize {type(truth).__name__} as ground truth")
+    kind = "pointwise_form" if isinstance(truth, PointwiseForm) else "conjugation_form"
+    return {"kind": kind, "field": field, **form_to_json(truth, field)}
 
 
 def truth_from_json(obj):

@@ -126,3 +126,12 @@ def kernel_basis(A, cfg: FieldConfig = DEFAULT):
 def frob(A) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(A)))
+
+
+def gaussian(rng, shape, cfg: FieldConfig = DEFAULT):
+    """Standard normal array from ``rng`` in the field's dtype; over the complex
+    field the imaginary parts are drawn after all the real parts."""
+    g = rng.standard_normal(shape)
+    if cfg.is_complex:
+        g = g + 1j * rng.standard_normal(shape)
+    return g.astype(cfg.dtype)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import FieldConfig
 from .errors import InfeasibleRanks, SingularMatrix
-from .linalg import frob
+from .linalg import frob, gaussian
 from .superop import Superoperator, apply, basis_image_array, inverse
 
 SEPARATING = "separating"
@@ -126,24 +126,6 @@ def _certificate(T, i, l, a, b, kind):
     return A, B
 
 
-def _merged_violations(off_idx, diag_idx):
-    """Yield (tuple, kind) across both sorted index lists in lexicographic order."""
-    ko, kd = 0, 0
-    while ko < len(off_idx) or kd < len(diag_idx):
-        if kd >= len(diag_idx):
-            yield tuple(off_idx[ko]), 0
-            ko += 1
-        elif ko >= len(off_idx):
-            yield tuple(diag_idx[kd]), 1
-            kd += 1
-        elif tuple(off_idx[ko]) <= tuple(diag_idx[kd]):
-            yield tuple(off_idx[ko]), 0
-            ko += 1
-        else:
-            yield tuple(diag_idx[kd]), 1
-            kd += 1
-
-
 def is_separating_exact(
     T: Superoperator, cfg: FieldConfig | None = None, scale: float | None = None
 ) -> Verdict:
@@ -175,14 +157,21 @@ def is_separating_exact(
     if not off_mask.any() and not diag_mask.any():
         return Verdict(SEPARATING)
 
-    off_idx = np.argwhere(off_mask)
-    diag_idx = np.argwhere(diag_mask)
-    for (i, l, _p, _q, a, b), kind in _merged_violations(off_idx, diag_idx):
+    # C order over (i, l, p, q, a, b, kind) is the lexicographic order of the
+    # violations, off-diagonal (kind 0) before diagonal (kind 1) on ties
+    flags = np.stack((off_mask, diag_mask), axis=-1).ravel()
+    start = 0
+    while start < flags.size:
+        hit = start + int(np.argmax(flags[start:]))
+        if not flags[hit]:
+            break
+        i, l, _p, _q, a, b, kind = np.unravel_index(hit, off_mask.shape + (2,))
         A, B = _certificate(T, i, l, a, b, kind)
         violation = frob(apply(T, A) @ apply(T, B))
         if violation > thr:
             ce = Counterexample(A=A, B=B, product_in_norm=frob(A @ B), violation_norm=violation)
             return Verdict(NOT_SEPARATING, counterexample=ce)
+        start = hit + 1
     # every certificate is below threshold: the map is within a whisker of
     # separating and no self-verifying witness exists
     return Verdict(SEPARATING)
@@ -195,10 +184,7 @@ def _standard_pairs(n, rng, rank_a, rank_b, count, cfg):
         raise InfeasibleRanks(f"ranks ({rank_a}, {rank_b}) infeasible in dimension {n}")
 
     def gauss(*shape):
-        g = rng.standard_normal(shape)
-        if cfg.is_complex:
-            g = g + 1j * rng.standard_normal(shape)
-        return g.astype(cfg.dtype)
+        return gaussian(rng, shape, cfg)
 
     Q, _ = np.linalg.qr(gauss(count, n, n))
     W = Q[:, :, :rank_b]

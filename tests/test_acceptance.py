@@ -16,7 +16,6 @@ from bisep import (
     MatrixFunction,
     DiscreteSpace,
     ai_membership,
-    brute_force_separating_oracle,
     gen_conjugation,
     gen_point_mixing,
     gen_pointwise,
@@ -25,6 +24,7 @@ from bisep import (
     is_biseparating,
     is_separating_exact,
     is_separating_fn,
+    is_separating_sampled,
     is_strictly_separating,
     perturb,
     recover_conjugation,
@@ -104,7 +104,7 @@ def test_criterion_3_oracle_equivalence():
         n = 2 if t < 100 else 3
         T = Superoperator(n_in=n, n_out=n, mat=rng.standard_normal((n * n, n * n)))
         exact = is_separating_exact(T).status
-        sampled = brute_force_separating_oracle(T, 10_000, seed=t).status
+        sampled = is_separating_sampled(T, 10_000, seed=t).status
         disagreements += exact != sampled
     # structured maps so both statuses are exercised, n=2 at 1e5 pairs
     for t in range(200):
@@ -118,7 +118,7 @@ def test_criterion_3_oracle_equivalence():
         else:
             T = Superoperator(n_in=2, n_out=2, mat=rng.standard_normal((4, 4)))
         exact = is_separating_exact(T).status
-        sampled = brute_force_separating_oracle(T, 100_000, seed=t).status
+        sampled = is_separating_sampled(T, 100_000, seed=t).status
         disagreements += exact != sampled
     elapsed = time.perf_counter() - t0
     ok = disagreements == 0 and elapsed <= 60

@@ -187,6 +187,15 @@ class TestSchemaFailures:
         assert rep["field"] == "vec_convention"
         assert "vec_convention" in rep["error"]
 
+    def test_huge_declared_map_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({"kind": "superop", "field": "real", "n_in": 10**7,
+                                   "n_out": 2, "vec_convention": "column-major",
+                                   "matrix": [[0.0]] * 4}))
+        code, rep = run_cli(capsys, "check", bad)
+        assert code == 1 and rep["status"] == "schema_error"
+        assert rep["field"] == "n_in"
+
     def test_decompose_bad_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[]")
@@ -202,6 +211,12 @@ class TestSchemaFailures:
             capsys, "gen", "superop", tmp_path / "x.json", "--negative", "bogus"
         )
         assert code == 1
+        for n in (0, -3):
+            code, rep = run_cli(
+                capsys, "gen", "superop", tmp_path / "x.json", "--n", n, "--negative", "transpose"
+            )
+            assert code == 1 and rep["status"] == "invalid_params"
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestDecomposeFailures:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bisep import FieldConfig
-from bisep.harness import experiment_inverse_separating
 
 
 class TestFieldConfig:
@@ -37,12 +36,3 @@ class TestFieldConfig:
             cfg.asarray([[1.0, np.inf]])
         with pytest.raises(ValueError):
             FieldConfig(field="complex").asarray([[1.0, complex(np.nan, 0)]])
-
-
-def test_inverse_separating_experiment_runs():
-    """Open-question probe: produces counts, asserts nothing about the answer."""
-    out = experiment_inverse_separating(2, count=30, seed=0)
-    assert out["tested"] == 30
-    assert 0 <= out["inverse_separating"] <= out["separating_invertible"] <= 30
-    # determinism
-    assert out == experiment_inverse_separating(2, count=30, seed=0)

@@ -17,6 +17,7 @@ from bisep import (
     gen_pointwise,
     gen_transpose,
     inverse_fn,
+    is_biseparating_fn,
     is_separating_exact,
     is_separating_fn,
     is_strictly_separating,
@@ -27,6 +28,7 @@ from bisep import (
     zero_product_iff_disjoint_support,
 )
 from bisep.errors import DimensionMismatch
+from bisep.separating import BISEPARATING, FORWARD, NOT_INVERTIBLE, NOT_SEPARATING
 from bisep.funcalg import constant_fn, multiply
 from bisep.linalg import kernel_basis, numeric_rank
 
@@ -220,6 +222,44 @@ class TestSeparatingFn:
         b = gen_pointwise(3, 2, seed=6)
         assert is_separating_fn(b.map).status == "separating"
         assert is_separating_fn(inverse_fn(b.map)).status == "separating"
+
+
+class TestBiseparatingFn:
+    @pytest.mark.parametrize(
+        "k, n, field",
+        [(1, 1, "real"), (1, 3, "real"), (4, 1, "real"), (3, 2, "real"), (2, 1, "complex"),
+         (3, 2, "complex")],
+    )
+    def test_pointwise_positives(self, k, n, field):
+        b = gen_pointwise(k, n, seed=k + n, cfg=FieldConfig(field=field))
+        verdict = is_biseparating_fn(b.map)
+        assert verdict.status == BISEPARATING
+        assert verdict.counterexample is None and verdict.direction is None
+
+    def test_point_mixing_fails_forward(self):
+        verdict = is_biseparating_fn(gen_point_mixing(3, 2, seed=2))
+        assert verdict.status == NOT_SEPARATING and verdict.direction == FORWARD
+        assert verdict.counterexample.point == "y1"  # the output point that hears two inputs
+
+    def test_rectangular_map_not_invertible(self):
+        blocks = np.zeros((1, 2, 4, 4))
+        blocks[0, 0] = np.eye(4)
+        T = BigSuperoperator(
+            space_in=X2, space_out=DiscreteSpace(("y1",)), n_in=2, n_out=2, blocks=blocks
+        )
+        assert is_separating_fn(T)
+        assert is_biseparating_fn(T).status == NOT_INVERTIBLE
+
+    def test_zeroed_block_not_invertible(self):
+        base = gen_pointwise(3, 2, seed=0).map
+        blocks = base.blocks.copy()
+        blocks[0] = 0.0  # the output point y1 hears nothing
+        T = BigSuperoperator(
+            space_in=base.space_in, space_out=base.space_out, n_in=2, n_out=2, blocks=blocks
+        )
+        assert is_separating_fn(T)
+        verdict = is_biseparating_fn(T)
+        assert verdict.status == NOT_INVERTIBLE and verdict.counterexample is None
 
 
 class TestApplyInverse:

@@ -5,12 +5,12 @@ from bisep import (
     BigSuperoperator,
     FieldConfig,
     Superoperator,
-    brute_force_separating_oracle,
     gen_conjugation,
     gen_point_mixing,
     gen_pointwise,
     gen_transpose,
     is_separating_exact,
+    is_separating_sampled,
     is_strictly_separating,
     perturb,
     recover_conjugation,
@@ -151,14 +151,14 @@ class TestDeterminism:
 class TestOracle:
     def test_conjugations_pass(self):
         b = gen_conjugation(3, seed=15)
-        assert brute_force_separating_oracle(b.map, 500, seed=0).status == "separating"
+        assert is_separating_sampled(b.map, 500, seed=0).status == "separating"
 
     def test_transpose_fails_many_trials(self):
-        verdict = brute_force_separating_oracle(gen_transpose(2), 10_000, seed=1)
+        verdict = is_separating_sampled(gen_transpose(2), 10_000, seed=1)
         assert verdict.status == "not_separating"
 
     def test_oracle_counterexample_self_verifies(self):
         T = gen_transpose(3)
-        ce = brute_force_separating_oracle(T, 1000, seed=2).counterexample
+        ce = is_separating_sampled(T, 1000, seed=2).counterexample
         assert np.linalg.norm(ce.A @ ce.B) <= 1e-13
         assert ce.violation_norm > 0

@@ -190,6 +190,38 @@ class TestSchemaErrors:
             load_instance(tmp_path / "absent.json")
 
 
+def _header(kind, n_in, n_out):
+    return {"kind": kind, "field": "real", "vec_convention": "column-major",
+            "n_in": n_in, "n_out": n_out}
+
+
+class TestSizeLimit:
+    """Small files that declare maps of 2**40 bytes or more are rejected from
+    the header, before anything is allocated."""
+
+    def test_superop_with_huge_n_in(self):
+        obj = {**_header("superop", 10**7, 2), "matrix": [[0.0]] * 4}
+        with pytest.raises(SchemaError, match="n_in") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "n_in"
+
+    def test_block_map_with_huge_n_in(self):
+        obj = {**_header("big_superop", 10**7, 2), "points_in": ["x1"], "points_out": ["y1"],
+               "blocks": {}}
+        with pytest.raises(SchemaError) as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "n_in"
+
+    def test_block_map_with_many_points(self):
+        # every 64 x 64 block is within the limit; 4096 x 4096 of them are not
+        labels = [f"p{i}" for i in range(4096)]
+        obj = {**_header("big_superop", 64, 64), "points_in": labels, "points_out": labels,
+               "blocks": {}}
+        with pytest.raises(SchemaError, match="points") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "points_in"
+
+
 class TestAgainstShippedSchemas:
     """Generated artifacts must validate against the schema documents."""
 

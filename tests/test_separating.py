@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,19 @@ from bisep import (
     SEPARATING,
     Superoperator,
     conjugation_superop,
+    gen_conjugation,
     gen_transpose,
     identity_superop,
     is_biseparating,
     is_separating_exact,
     is_separating_sampled,
+    perturb,
     random_zero_product_pair,
     scalar_identity_test,
 )
 from bisep.errors import InfeasibleRanks
-from bisep.linalg import numeric_rank
+from bisep.linalg import frob, numeric_rank
+from bisep.separating import _image_scale
 from bisep.superop import apply
 
 CFG = FieldConfig()
@@ -199,8 +204,6 @@ def _units(n):
 
 def test_exactness_lemma_cross_validation():
     """The exact reduction against brute-force sampling on a mixed pool."""
-    from bisep import brute_force_separating_oracle
-
     rng = np.random.default_rng(4)
     for t in range(50):
         if t % 4 == 0:
@@ -212,5 +215,90 @@ def test_exactness_lemma_cross_validation():
             T = Superoperator(n_in=2, n_out=2, mat=rng.standard_normal((4, 4)))
         assert (
             is_separating_exact(T).status
-            == brute_force_separating_oracle(T, 2000, seed=t).status
+            == is_separating_sampled(T, 2000, seed=t).status
         )
+
+
+def _reference_counterexample(T):
+    """Plain-loop reference for the exact checker's certificate order.
+
+    Walks (i, l, p, q, a, b) lexicographically, trying the off-diagonal
+    candidate before the diagonal one on ties, and returns the first
+    certificate that self-verifies as (A, B, violation, candidates tried),
+    or None when none does.
+    """
+    n, m, dt = T.n_in, T.n_out, T.cfg.dtype
+
+    def unit(p, q):
+        E = np.zeros((n, n), dtype=dt)
+        E[p, q] = 1
+        return E
+
+    im = [[apply(T, unit(i, a)) for a in range(n)] for i in range(n)]
+    thr = T.cfg.threshold(_image_scale(T) ** 2)
+
+    def entry(i, a, b, l, p, q):  # [T(E_ia) T(E_bl)]_pq
+        return sum(im[i][a][p, r] * im[b][l][r, q] for r in range(m))
+
+    tried = 0
+    for i, l, p, q, a, b in itertools.product(range(n), range(n), range(m), range(m),
+                                              range(n), range(n)):
+        candidates = []
+        if a != b and abs(entry(i, a, b, l, p, q)) > thr:
+            candidates.append((unit(i, a), unit(b, l)))
+        if a < b and abs(entry(i, a, a, l, p, q) - entry(i, b, b, l, p, q)) > thr:
+            candidates.append((unit(i, a) + unit(i, b), unit(a, l) - unit(b, l)))
+        for A, B in candidates:
+            tried += 1
+            violation = frob(apply(T, A) @ apply(T, B))
+            if violation > thr:
+                return A, B, violation, tried
+    return None
+
+
+def _assert_matches_reference(T):
+    verdict = is_separating_exact(T)
+    ref = _reference_counterexample(T)
+    if ref is None:
+        assert verdict.status == SEPARATING
+        return 0
+    A, B, violation, tried = ref
+    assert verdict.status == NOT_SEPARATING
+    ce = verdict.counterexample
+    assert np.array_equal(ce.A, A) and np.array_equal(ce.B, B)
+    assert ce.violation_norm == violation
+    return tried
+
+
+class TestCertificateOrder:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_transposes(self, field):
+        for n in (2, 3, 4):
+            assert _assert_matches_reference(gen_transpose(n, FieldConfig(field=field))) == 1
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_random_maps(self, field):
+        cfg = FieldConfig(field=field)
+        rng = np.random.default_rng(21)
+        for n_in, n_out in ((2, 2), (3, 3), (2, 3), (3, 2)):
+            for _ in range(4):
+                shape = (n_out**2, n_in**2)
+                mat = rng.standard_normal(shape)
+                if cfg.is_complex:
+                    mat = mat + 1j * rng.standard_normal(shape)
+                _assert_matches_reference(Superoperator(n_in=n_in, n_out=n_out, mat=mat, cfg=cfg))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_near_boundary_perturbations(self, field):
+        cfg = FieldConfig(field=field)
+        most_tried = 0
+        for n in (2, 3):
+            for eps in (1e-9, 3e-9, 1e-8, 3e-8):
+                for seed in range(60):
+                    T = perturb(gen_conjugation(n, seed=seed, cfg=cfg).map, eps, seed=seed)
+                    most_tried = max(most_tried, _assert_matches_reference(T))
+        assert most_tried > 1  # some walk went past a failed certificate
+
+    def test_walk_past_seven_candidates(self):
+        T = perturb(gen_conjugation(3, seed=53).map, 3e-8, seed=53)
+        assert _assert_matches_reference(T) == 7
