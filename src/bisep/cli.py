@@ -7,9 +7,14 @@ outcome through the exit code:
     1   I/O, schema or parameter error
     2   property fails (a witness is in the report) or recovery rejected
     3   the map is not invertible
+
+Each ``cmd_*`` fills in the report ``main`` hands it; ``main`` maps a raised
+error to the report's status and prints the report once.  Bad arguments are
+usage errors: a message on stderr, no report, exit 1.
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -37,6 +42,7 @@ from .harness import (
 from .instancefile import (
     KIND_BIG,
     KIND_SUPEROP,
+    check_size,
     counterexample_to_json,
     dumps,
     form_to_json,
@@ -64,41 +70,18 @@ EXIT_ERROR = 1
 EXIT_FAILS = 2
 EXIT_NOT_INVERTIBLE = 3
 
-
-def _emit(report, t0):
-    report["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    print(dumps(report))
-
-
-def _tolerances(args):
-    return {"tol_rel": args.tol, "tol_abs": args.tol_abs}
-
-
-def _load(args, report, t0):
-    """The instance at ``args.path``, or None after emitting a schema_error report."""
-    try:
-        return load_instance(args.path, tol_rel=args.tol, tol_abs=args.tol_abs)
-    except SchemaError as exc:
-        report["status"] = "schema_error"
-        report["error"] = str(exc)
-        if exc.field:
-            report["field"] = exc.field
-        _emit(report, t0)
-        return None
+# report status of a command that raised, most specific class first
+_ERROR_STATUS = ((SchemaError, "schema_error"), (ValueError, "invalid_params"),
+                 (OSError, "io_error"), (BisepError, "error"))
 
 
 # ---------------------------------------------------------------------------
 # check
 
 
-def cmd_check(args):
-    t0 = time.perf_counter()
-    report = {"command": "check", "tolerances": _tolerances(args)}
-    if args.seed is not None:
-        report["seed"] = args.seed
-    T = _load(args, report, t0)
-    if T is None:
-        return EXIT_ERROR
+def cmd_check(args, report):
+    report["seed"] = args.seed
+    T = load_instance(args.path, tol_rel=args.tol, tol_abs=args.tol_abs)
     sampled = None
     if isinstance(T, Superoperator):
         verdict = is_biseparating(T)
@@ -117,7 +100,6 @@ def cmd_check(args):
         report["counterexample"] = counterexample_to_json(verdict.counterexample, T.cfg.field)
     if sampled is not None:
         report["sampled_status"] = sampled.status
-    _emit(report, t0)
     return {BISEPARATING: EXIT_OK, NOT_INVERTIBLE: EXIT_NOT_INVERTIBLE}.get(
         verdict.status, EXIT_FAILS
     )
@@ -127,12 +109,8 @@ def cmd_check(args):
 # decompose
 
 
-def cmd_decompose(args):
-    t0 = time.perf_counter()
-    report = {"command": "decompose", "tolerances": _tolerances(args)}
-    T = _load(args, report, t0)
-    if T is None:
-        return EXIT_ERROR
+def cmd_decompose(args, report):
+    T = load_instance(args.path, tol_rel=args.tol, tol_abs=args.tol_abs)
     try:
         if isinstance(T, Superoperator):
             form = recover_conjugation(T)
@@ -143,7 +121,6 @@ def cmd_decompose(args):
         report["status"] = "ok"
         report.update(form_to_json(form, T.cfg.field))
         report["residual"] = residual
-        _emit(report, t0)
         return EXIT_OK
     except RecoveryError as exc:
         report["status"] = exc.step
@@ -153,7 +130,6 @@ def cmd_decompose(args):
     except (DimensionMismatch, SingularMatrix) as exc:
         report["status"] = "dimension_mismatch"
         report["error"] = str(exc)
-    _emit(report, t0)
     return EXIT_FAILS
 
 
@@ -176,17 +152,18 @@ def _parse_negative(text):
     )
 
 
-def cmd_gen(args):
-    t0 = time.perf_counter()
-    report = {"command": "gen", "seed": args.seed, "tolerances": _tolerances(args)}
+def cmd_gen(args, report):
+    report["seed"] = args.seed
     cfg = FieldConfig(field=args.field, tol_rel=args.tol, tol_abs=args.tol_abs)
-    try:
-        negative, eps = _parse_negative(args.negative)
-        if negative == "mixing" and args.kind == KIND_SUPEROP:
-            raise ValueError("point mixing needs kind 'big_superop'")
-        if negative == "transpose" and args.kind == KIND_BIG:
-            raise ValueError("the transpose negative needs kind 'superop'")
-        bundle = None
+    negative, eps = _parse_negative(args.negative)
+    if negative == "mixing" and args.kind == KIND_SUPEROP:
+        raise ValueError("point mixing needs kind 'big_superop'")
+    if negative == "transpose" and args.kind == KIND_BIG:
+        raise ValueError("the transpose negative needs kind 'superop'")
+    k = 1 if args.kind == KIND_SUPEROP else args.k
+    bundle = None
+    try:  # a map too large for the reader, or one the tolerances refuse, is a bad parameter
+        check_size(args.n, args.n, k, k)
         if negative == "transpose":
             instance = gen_transpose(args.n, cfg)
         elif negative == "mixing":
@@ -199,26 +176,16 @@ def cmd_gen(args):
             instance = bundle.map
             if negative == "perturb":
                 instance, bundle = perturb(instance, eps, args.seed), None
-    except (ValueError, BisepError) as exc:
-        report["status"] = "invalid_params"
-        report["error"] = str(exc)
-        _emit(report, t0)
-        return EXIT_ERROR
-    try:
-        save_instance(args.out, instance)
-        report["instance_path"] = args.out
-        report["truth_path"] = None
-        if bundle is not None and bundle.ground_truth is not None:
-            tp = truth_path_for(args.out)
-            save_truth(tp, bundle.ground_truth, cfg.field)
-            report["truth_path"] = tp
-    except OSError as exc:
-        report["status"] = "io_error"
-        report["error"] = str(exc)
-        _emit(report, t0)
-        return EXIT_ERROR
+    except BisepError as exc:
+        raise ValueError(str(exc)) from None
+    save_instance(args.out, instance)
+    report["instance_path"] = args.out
+    report["truth_path"] = None
+    if bundle is not None and bundle.ground_truth is not None:
+        tp = truth_path_for(args.out)
+        save_truth(tp, bundle.ground_truth, cfg.field)
+        report["truth_path"] = tp
     report["status"] = "ok"
-    _emit(report, t0)
     return EXIT_OK
 
 
@@ -244,10 +211,8 @@ def _compare_truth(form, truth):
     return True, max(a_err, float(np.linalg.norm(form.S - truth.S)))
 
 
-def cmd_roundtrip(args):
-    t0 = time.perf_counter()
-    tol = args.tol
-    truth_gate = max(tol, 1e-8)
+def cmd_roundtrip(args, report):
+    truth_gate = max(args.tol, 1e-8)
     cfg = FieldConfig(field=args.field, tol_rel=args.tol, tol_abs=args.tol_abs)
     cases = failures = 0
     worst_residual = 0.0
@@ -276,7 +241,12 @@ def cmd_roundtrip(args):
         same_phi, err = _compare_truth(form, bundle.ground_truth)
         worst_residual = max(worst_residual, residual)
         worst_truth_err = max(worst_truth_err, err)
-        record(name, ok and residual <= tol and same_phi and err <= truth_gate)
+        record(name, ok and residual <= args.tol and same_phi and err <= truth_gate)
+
+    def negative(name, instance, decide):
+        """A curated negative must fail with a certificate after a JSON round trip."""
+        verdict = decide(_json_cycle(instance, args.tol, args.tol_abs))
+        record(name, verdict.status == NOT_SEPARATING and verdict.counterexample is not None)
 
     if args.seeds > 0:
         for n in range(1, args.max_n + 1):
@@ -284,39 +254,42 @@ def cmd_roundtrip(args):
                 positive(f"superop n={n} seed={seed}", gen_conjugation(n, seed, cfg=cfg),
                          is_biseparating, recover_conjugation, verify_form)
         for n in range(2, args.max_n + 1):
-            T = _json_cycle(gen_transpose(n, cfg), args.tol, args.tol_abs)
-            verdict = is_biseparating(T)
-            ok = verdict.status == NOT_SEPARATING and verdict.counterexample is not None
-            record(f"transpose n={n}", ok)
+            negative(f"transpose n={n}", gen_transpose(n, cfg), is_biseparating)
         for k in range(1, args.max_k + 1):
             for n in range(1, min(3, args.max_n) + 1):
                 for seed in range(args.seeds):
                     positive(f"big k={k} n={n} seed={seed}", gen_pointwise(k, n, seed, cfg=cfg),
                              is_biseparating_fn, recover_pointwise, verify_pointwise)
         for k in range(2, args.max_k + 1):
-            T = _json_cycle(gen_point_mixing(k, 2, seed=k, cfg=cfg), args.tol, args.tol_abs)
-            verdict = is_strictly_separating(T)
-            ok = verdict.status == NOT_SEPARATING and verdict.counterexample is not None
-            record(f"mixing k={k}", ok)
+            negative(f"mixing k={k}", gen_point_mixing(k, 2, k, cfg), is_strictly_separating)
 
-    report = {
-        "command": "roundtrip",
-        "status": "ok" if failures == 0 else "failed",
-        "tolerances": _tolerances(args),
-        "cases": cases,
-        "failures": failures,
-        "worst_residual": worst_residual,
-        "worst_truth_error": worst_truth_err,
-    }
+    report["status"] = "ok" if failures == 0 else "failed"
+    report["cases"] = cases
+    report["failures"] = failures
+    report["worst_residual"] = worst_residual
+    report["worst_truth_error"] = worst_truth_err
     if cases == 0:
         report["note"] = "no cases run (seeds = 0)"
     if failed_cases:
         report["failed_cases"] = failed_cases
-    _emit(report, t0)
     return EXIT_OK if failures == 0 else EXIT_FAILS
 
 
 # ---------------------------------------------------------------------------
+
+
+def positive_float(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,15 +310,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tols(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
-        p.add_argument(
-            "--tol-abs", type=float, default=1e-12, help="absolute tolerance floor (default 1e-12)"
-        )
+        p.add_argument("--tol", type=positive_float, default=1e-9,
+                       help="relative tolerance (default 1e-9)")
+        p.add_argument("--tol-abs", type=positive_float, default=1e-12,
+                       help="absolute tolerance floor (default 1e-12)")
 
     p = sub.add_parser("check", help="decide the (bi)separating property of an instance file")
     p.add_argument("path")
     add_tols(p)
-    p.add_argument("--sampled", type=int, default=None, metavar="TRIALS",
+    p.add_argument("--sampled", type=positive_int, default=None, metavar="TRIALS",
                    help="additionally run the Monte-Carlo checker with this many trials")
     p.add_argument("--seed", type=int, default=0, help="seed for --sampled")
     p.set_defaults(func=cmd_check)
@@ -383,11 +356,19 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
+    report = {"command": args.command, "tolerances": {"tol_rel": args.tol, "tol_abs": args.tol_abs}}
     try:
-        return args.func(args)
-    except BisepError as exc:
-        print(dumps({"command": args.command, "status": "error", "error": str(exc)}))
-        return EXIT_ERROR
+        code = args.func(args, report)
+    except (ValueError, OSError, BisepError) as exc:
+        report["status"] = next(status for cls, status in _ERROR_STATUS if isinstance(exc, cls))
+        report["error"] = str(exc)
+        if isinstance(exc, SchemaError) and exc.field:
+            report["field"] = exc.field
+        code = EXIT_ERROR
+    report["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    print(dumps(report))
+    return code
 
 
 if __name__ == "__main__":

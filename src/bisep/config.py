@@ -1,8 +1,12 @@
 """Scalar-field configuration and the shared tolerance policy.
 
-Every "is this zero" decision in the package goes through
-:meth:`FieldConfig.threshold`: a quantity x at context scale s is zero
-iff ``|x| <= tol_abs + tol_rel * s``.
+Two rules decide what is zero.  A quantity x at context scale s is zero
+iff ``|x| <= tol_abs + tol_rel * s`` (:meth:`FieldConfig.threshold`).  The
+numeric rank of a matrix (``linalg.numeric_rank``, also behind inversion,
+kernels and rank-one factors) counts its singular values above
+``tol_rel * sigma_1``, and is 0 when ``sigma_1 <= tol_abs``; so a matrix
+with condition number >= 1/tol_rel counts as singular.  Functions that take
+a map read both tolerances from the map's ``cfg``.
 """
 
 from dataclasses import dataclass

@@ -51,8 +51,8 @@ from .separating import (
     Verdict,
     is_separating_exact,
 )
-from .structure import ConjugationForm, recover_conjugation
-from .superop import Superoperator
+from .structure import ConjugationForm, recover_conjugation, unit_deviations
+from .superop import Superoperator, basis_image_array, image_scale
 
 NOT_STRICTLY_SEPARATING = "not_strictly_separating"
 
@@ -259,11 +259,16 @@ def _block_mass(T: BigSuperoperator) -> np.ndarray:
     return np.linalg.norm(T.blocks, axis=(2, 3))
 
 
-def _block_images(T: BigSuperoperator) -> np.ndarray:
-    """IMB[x2, x1, i, j] = blocks[x2][x1](E_ij), shape (k2, k1, n, n, m, m)."""
-    k2, k1 = T.space_out.k, T.space_in.k
-    n, m = T.n_in, T.n_out
-    return T.blocks.reshape(k2, k1, m, m, n, n).transpose(0, 1, 5, 4, 3, 2)
+def _reach(T: BigSuperoperator) -> np.ndarray:
+    """reach[x2, x1]: block (x2, x1) carries mass above the global mass threshold."""
+    mass = _block_mass(T)
+    return mass > T.cfg.threshold(mass.max(initial=0.0))
+
+
+def _matrix_unit(n, i, j, cfg):
+    E = np.zeros((n, n), dtype=cfg.dtype)
+    E[i, j] = 1
+    return E
 
 
 def _best_unit(block_imgs):
@@ -272,7 +277,7 @@ def _best_unit(block_imgs):
     return np.unravel_index(int(np.argmax(norms)), norms.shape)
 
 
-def is_strictly_separating(T: BigSuperoperator, cfg: FieldConfig | None = None) -> Verdict:
+def is_strictly_separating(T: BigSuperoperator) -> Verdict:
     """Disjoint input supports must map to disjoint output supports.
 
     Exact via block reach: the set of output points reached by each input
@@ -280,24 +285,18 @@ def is_strictly_separating(T: BigSuperoperator, cfg: FieldConfig | None = None) 
     disjoint.  A collision yields a pair of single-point functions whose
     images overlap at a common output point.
     """
-    cfg = cfg or T.cfg
-    mass = _block_mass(T)
-    thr = cfg.threshold(mass.max(initial=0.0))
-    reach = mass > thr  # reach[x2, x1]
+    cfg = T.cfg
+    reach = _reach(T)
     k1 = T.space_in.k
-    imgs = _block_images(T)
+    imgs = basis_image_array(T.blocks)
     for xa in range(k1):
         for xb in range(xa + 1, k1):
             common = np.flatnonzero(reach[:, xa] & reach[:, xb])
             if common.size == 0:
                 continue
             x2 = int(common[0])
-            ia, ja = _best_unit(imgs[x2, xa])
-            ib, jb = _best_unit(imgs[x2, xb])
-            unit_a = np.zeros((T.n_in, T.n_in), dtype=cfg.dtype)
-            unit_a[ia, ja] = 1
-            unit_b = np.zeros((T.n_in, T.n_in), dtype=cfg.dtype)
-            unit_b[ib, jb] = 1
+            unit_a = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xa]), cfg)
+            unit_b = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xb]), cfg)
             F1 = delta_fn(T.space_in, T.space_in.labels[xa], unit_a, cfg)
             F2 = delta_fn(T.space_in, T.space_in.labels[xb], unit_b, cfg)
             out1 = apply_fn(T, F1)
@@ -314,18 +313,17 @@ def is_strictly_separating(T: BigSuperoperator, cfg: FieldConfig | None = None) 
     return Verdict(SEPARATING)
 
 
-def is_separating_fn(T: BigSuperoperator, cfg: FieldConfig | None = None) -> Verdict:
+def is_separating_fn(T: BigSuperoperator) -> Verdict:
     """Exact algebraic separating check on the direct-sum algebra.
 
     Cross-point conditions first (ordered input pairs, then output point,
     in label order), then the per-block scalar-identity reduction; the
     first violation is returned as a function-pair counterexample with
     its point labels."""
-    cfg = cfg or T.cfg
+    cfg = T.cfg
     k2, k1 = T.space_out.k, T.space_in.k
-    imgs = _block_images(T)
-    s_img = float(np.linalg.norm(imgs, axis=(4, 5)).max(initial=0.0))
-    scale = s_img**2
+    imgs = basis_image_array(T.blocks)
+    scale = image_scale(imgs) ** 2
     thr = cfg.threshold(scale)
 
     def lifted(x, y, A, B, x2):
@@ -352,16 +350,14 @@ def is_separating_fn(T: BigSuperoperator, cfg: FieldConfig | None = None) -> Ver
                 bad = np.abs(prods) > thr
                 if bad.any():
                     i, j, k, l, _p, _q = np.argwhere(bad)[0]
-                    A = np.zeros((T.n_in, T.n_in), dtype=cfg.dtype)
-                    A[i, j] = 1
-                    B = np.zeros((T.n_in, T.n_in), dtype=cfg.dtype)
-                    B[k, l] = 1
+                    A = _matrix_unit(T.n_in, i, j, cfg)
+                    B = _matrix_unit(T.n_in, k, l, cfg)
                     return Verdict(NOT_SEPARATING, counterexample=lifted(x, y, A, B, x2))
 
     # same-point: each block must be separating on its own, at the global scale
     for x in range(k1):
         for x2 in range(k2):
-            verdict = is_separating_exact(T.block(x2, x), cfg, scale=scale)
+            verdict = is_separating_exact(T.block(x2, x), scale=scale)
             if not verdict:
                 ce = verdict.counterexample
                 return Verdict(
@@ -393,26 +389,24 @@ def is_biseparating_fn(T: BigSuperoperator) -> Verdict:
     return Verdict(BISEPARATING)
 
 
-def recover_pointwise(T: BigSuperoperator, cfg: FieldConfig | None = None) -> PointwiseForm:
+def recover_pointwise(T: BigSuperoperator) -> PointwiseForm:
     """Reconstruct the permutation phi and the per-point (alpha, S) data.
 
     Raises NotLocal when some output point hears several input points,
     PhiNotBijective when the point map cannot be a bijection, and wraps
     per-point conjugation-recovery errors with the output label.
     """
-    cfg = cfg or T.cfg
     if T.n_in != T.n_out:
         raise DimensionMismatch(f"pointwise recovery needs n_in = n_out, got {T.n_in} != {T.n_out}")
     if T.space_in.k != T.space_out.k:
         raise PhiNotBijective(
             f"input has {T.space_in.k} points but output has {T.space_out.k}; no bijection exists"
         )
-    mass = _block_mass(T)
-    thr = cfg.threshold(mass.max(initial=0.0))
+    reach = _reach(T)
     phi = {}
     forms = {}
     for x2 in range(T.space_out.k):
-        hot = np.flatnonzero(mass[x2] > thr)
+        hot = np.flatnonzero(reach[x2])
         label2 = T.space_out.labels[x2]
         if hot.size != 1:
             raise NotLocal(
@@ -421,7 +415,7 @@ def recover_pointwise(T: BigSuperoperator, cfg: FieldConfig | None = None) -> Po
         x1 = int(hot[0])
         phi[label2] = T.space_in.labels[x1]
         try:
-            forms[label2] = recover_conjugation(T.block(x2, x1), cfg)
+            forms[label2] = recover_conjugation(T.block(x2, x1))
         except RecoveryError as exc:
             wrapped = type(exc)(f"at output point {label2!r}: {exc}", residual=exc.residual)
             raise wrapped from exc
@@ -432,33 +426,28 @@ def recover_pointwise(T: BigSuperoperator, cfg: FieldConfig | None = None) -> Po
         alphas={lab: f.alpha for lab, f in forms.items()},
         S={lab: f.S for lab, f in forms.items()},
     )
-    residual = verify_pointwise(T, form, cfg)
-    if residual > cfg.tol_rel:
+    residual = verify_pointwise(T, form)
+    if residual > T.cfg.tol_rel:
         raise NotStandardForm(
             f"pointwise residual {residual:.3e} exceeds tolerance", residual=residual
         )
     return form
 
 
-def verify_pointwise(T: BigSuperoperator, form: PointwiseForm, cfg: FieldConfig | None = None) -> float:
+def verify_pointwise(T: BigSuperoperator, form: PointwiseForm) -> float:
     """Residual of the pointwise form: basis deviation on the phi-blocks
     (relative to the largest basis image) combined with the relative mass
     of all off-phi blocks."""
-    cfg = cfg or T.cfg
-    imgs = _block_images(T)
-    img_scale = float(np.linalg.norm(imgs, axis=(4, 5)).max(initial=0.0))
-    if img_scale <= cfg.tol_abs:
+    imgs = basis_image_array(T.blocks)
+    img_scale = image_scale(imgs)
+    if img_scale <= T.cfg.tol_abs:
         raise DegenerateMap("all blocks vanish; residual is undefined")
     mass = _block_mass(T)
-    n = T.n_in
     worst = 0.0
     off_mass = 0.0
     for x2, label2 in enumerate(T.space_out.labels):
         x1 = T.space_in.index(form.phi[label2])
-        S = np.asarray(form.S[label2])
-        S_inv, _ = invert(S, cfg)
-        model = form.alphas[label2] * np.einsum("pi,jq->ijpq", S, S_inv)
-        dev = np.linalg.norm(imgs[x2, x1] - model, axis=(2, 3)).max()
+        dev = unit_deviations(imgs[x2, x1], form.point_form(label2), T.cfg).max()
         worst = max(worst, float(dev))
         others = np.delete(mass[x2], x1)
         if others.size:

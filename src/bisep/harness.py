@@ -42,7 +42,7 @@ def _random_conditioned(rng, n, cond_cap, cfg):
 
 def _random_alpha(rng, alpha_range, cfg):
     lo, hi = alpha_range
-    if not (0 < lo <= hi):
+    if not (0 < lo <= hi < np.inf):
         raise ValueError(f"alpha_range must satisfy 0 < lo <= hi, got {alpha_range}")
     mag = rng.uniform(lo, hi)
     if cfg.is_complex:
@@ -61,7 +61,7 @@ def gen_conjugation(
 
     S is rejection-resampled until its condition number is below cond_cap
     (cond_cap = 1 forces S = I)."""
-    if n < 1 or cond_cap < 1:
+    if n < 1 or not cond_cap >= 1:  # also refuses nan, which no S would meet
         raise ValueError("need n >= 1 and cond_cap >= 1")
     rng = np.random.default_rng(seed)
     if cond_cap == 1:
@@ -71,7 +71,7 @@ def gen_conjugation(
     alpha = _random_alpha(rng, alpha_range, cfg)
     T = conjugation_superop(alpha, S, cfg)
     truth = ConjugationForm(alpha=alpha, S=gauge_normalize(S, cfg))
-    assert verify_form(T, truth, cfg) <= 1e-10
+    assert verify_form(T, truth) <= 1e-10
     return InstanceBundle(
         description=f"conjugation n={n} seed={seed}", map=T, seed=seed, ground_truth=truth
     )
@@ -103,7 +103,7 @@ def gen_pointwise(k, n, seed, cfg: FieldConfig = DEFAULT) -> InstanceBundle:
         space_in=space_in, space_out=space_out, n_in=n, n_out=n, blocks=blocks, cfg=cfg
     )
     truth = PointwiseForm(phi=phi, alphas=alphas, S=Ss)
-    assert verify_pointwise(T, truth, cfg) <= 1e-10
+    assert verify_pointwise(T, truth) <= 1e-10
     return InstanceBundle(
         description=f"pointwise k={k} n={n} seed={seed}", map=T, seed=seed, ground_truth=truth
     )

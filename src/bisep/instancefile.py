@@ -44,26 +44,25 @@ def _fmt_float(x) -> str:
     return s
 
 
-def dumps(obj, indent: int | None = 2) -> str:
+def dumps(obj) -> str:
     """Serialize dict/list/str/int/float/bool/None to JSON text with
-    full-precision floats."""
+    full-precision floats, indented by two spaces."""
 
     def render(node, depth):
-        pad = "" if indent is None else "\n" + " " * (indent * (depth + 1))
-        end = "" if indent is None else "\n" + " " * (indent * depth)
-        sep = "," if indent is None else ","
+        pad = "\n" + "  " * (depth + 1)
+        end = "\n" + "  " * depth
         if isinstance(node, dict):
             if not node:
                 return "{}"
             items = [
                 f"{pad}{json.dumps(str(k))}: {render(v, depth + 1)}" for k, v in node.items()
             ]
-            return "{" + sep.join(items) + end + "}"
+            return "{" + ",".join(items) + end + "}"
         if isinstance(node, (list, tuple)):
             if not len(node):
                 return "[]"
             items = [f"{pad}{render(v, depth + 1)}" for v in node]
-            return "[" + sep.join(items) + end + "]"
+            return "[" + ",".join(items) + end + "]"
         if isinstance(node, bool):
             return "true" if node else "false"
         if isinstance(node, (int, np.integer)):
@@ -195,9 +194,9 @@ def _common_header(obj):
     return kind, field, n_in, n_out
 
 
-def _check_size(n_in, n_out, k_in, k_out):
-    """Reject a header that declares more than MAX_ENTRIES map entries, before
-    anything of that size is allocated."""
+def check_size(n_in, n_out, k_in, k_out):
+    """Reject a map of more than MAX_ENTRIES entries, before anything of that
+    size is allocated; the SchemaError names ``n_in`` when one block is over."""
     per_block = n_out**2 * n_in**2
     for entries, field in ((per_block, "n_in"), (k_out * k_in * per_block, "points_in")):
         if entries > MAX_ENTRIES:
@@ -251,7 +250,7 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
         cfg_kwargs["tol_abs"] = tol_abs
     cfg = FieldConfig(field=field, **cfg_kwargs)
     if kind == KIND_SUPEROP:
-        _check_size(n_in, n_out, 1, 1)
+        check_size(n_in, n_out, 1, 1)
         mat = matrix_from_json(
             _need(obj, "matrix", list), field, (n_out**2, n_in**2), "matrix"
         )
@@ -259,7 +258,7 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
 
     points_in = _labels_from_json(obj, "points_in")
     points_out = _labels_from_json(obj, "points_out")
-    _check_size(n_in, n_out, len(points_in), len(points_out))
+    check_size(n_in, n_out, len(points_in), len(points_out))
     space_in = DiscreteSpace(points_in)
     space_out = DiscreteSpace(points_out)
     raw_blocks = _need(obj, "blocks", dict)

@@ -65,16 +65,16 @@ def _fix_covector_gauge(u, f, tol_abs):
 def rank_one_factor(A, cfg: FieldConfig = DEFAULT) -> RankOneFactor:
     """Factor a rank-one matrix as outer(u, f).
 
-    Raises ZeroMatrix if ||A||_F <= tol_abs and NotRankOne if the second
-    singular value exceeds tol_rel * sigma_1.
+    Raises ZeroMatrix if the numeric rank is 0 and NotRankOne if it exceeds 1.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     U, s, Vh = np.linalg.svd(A)
-    if s[0] <= cfg.tol_abs:
+    rank = _rank(s, cfg)
+    if rank == 0:
         raise ZeroMatrix("matrix is zero at tolerance; no rank-one factor exists")
-    if len(s) > 1 and s[1] > cfg.tol_rel * s[0]:
+    if rank > 1:
         raise NotRankOne(f"second singular value {s[1]:.3e} exceeds tol * sigma_1 = {cfg.tol_rel * s[0]:.3e}")
     # A ~= outer(s[0] * U[:,0], Vh[0]): the Vh row is already the bilinear covector
     u = s[0] * U[:, 0]
@@ -83,12 +83,18 @@ def rank_one_factor(A, cfg: FieldConfig = DEFAULT) -> RankOneFactor:
     return RankOneFactor(u=u, f=f)
 
 
-def numeric_rank(A, cfg: FieldConfig = DEFAULT) -> int:
-    """Count of singular values above tol_rel * sigma_1 (0 for a zero matrix)."""
-    s = np.linalg.svd(np.asarray(A), compute_uv=False)
-    if s.size == 0 or s[0] <= cfg.tol_abs:
-        return 0
-    return int(np.count_nonzero(s > cfg.tol_rel * s[0]))
+def _rank(s, cfg: FieldConfig):
+    """The rank rule on singular values s (last axis, descending): the count of
+    those above tol_rel * sigma_1, or 0 when sigma_1 <= tol_abs.  Vectorised
+    over leading axes."""
+    top = s.max(axis=-1, initial=0.0, keepdims=True)
+    return np.where(top[..., 0] > cfg.tol_abs, np.count_nonzero(s > cfg.tol_rel * top, axis=-1), 0)
+
+
+def numeric_rank(A, cfg: FieldConfig = DEFAULT):
+    """Numeric rank of a matrix, or an array of ranks for a stack of matrices."""
+    ranks = _rank(np.linalg.svd(np.asarray(A), compute_uv=False), cfg)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def invert(A, cfg: FieldConfig = DEFAULT):
@@ -101,8 +107,9 @@ def invert(A, cfg: FieldConfig = DEFAULT):
         raise DimensionMismatch(f"cannot invert non-square shape {A.shape}")
     n = A.shape[0]
     s = np.linalg.svd(A, compute_uv=False)
-    if s[0] <= cfg.tol_abs or s[-1] <= cfg.tol_rel * s[0]:
-        raise SingularMatrix(f"numeric rank {numeric_rank(A, cfg)} < {n}")
+    rank = _rank(s, cfg)
+    if rank < n:
+        raise SingularMatrix(f"numeric rank {rank} < {n}")
     cond = float(s[0] / s[-1])
     inv = np.linalg.solve(A, np.eye(n, dtype=A.dtype))
     return inv, cond
@@ -115,12 +122,7 @@ def kernel_basis(A, cfg: FieldConfig = DEFAULT):
     """
     A = np.asarray(A)
     _, s, Vh = np.linalg.svd(A)
-    cols = A.shape[1]
-    if s.size == 0 or s[0] <= cfg.tol_abs:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > cfg.tol_rel * s[0]))
-    return [Vh[i].conj() for i in range(rank, cols)]
+    return [Vh[i].conj() for i in range(_rank(s, cfg), A.shape[1])]
 
 
 def frob(A) -> float:

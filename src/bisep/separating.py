@@ -43,7 +43,7 @@ import numpy as np
 from .config import FieldConfig
 from .errors import InfeasibleRanks, SingularMatrix
 from .linalg import frob, gaussian
-from .superop import Superoperator, apply, basis_image_array, inverse
+from .superop import Superoperator, apply, basis_image_array, image_scale, inverse
 
 SEPARATING = "separating"
 NOT_SEPARATING = "not_separating"
@@ -80,6 +80,19 @@ class Verdict:
         return self.status in (SEPARATING, BISEPARATING)
 
 
+def _scalar_violations(M, thr):
+    """Masks of what keeps each trailing n x n matrix of M from being scalar at
+    threshold thr: off-diagonal entries above it, and diagonal pairs a < b whose
+    difference is above it."""
+    ar = np.arange(M.shape[-1])
+    off = np.abs(M) > thr
+    off[..., ar, ar] = False
+    D = M[..., ar, ar]
+    diag = np.abs(D[..., :, None] - D[..., None, :]) > thr
+    diag &= ar[:, None] < ar[None, :]
+    return off, diag
+
+
 def scalar_identity_test(M, cfg: FieldConfig, scale: float):
     """Decide whether M is a scalar multiple of the identity at tolerance.
 
@@ -88,29 +101,14 @@ def scalar_identity_test(M, cfg: FieldConfig, scale: float):
     ``tol_abs + tol_rel * scale``.
     """
     M = np.asarray(M)
-    n = M.shape[0]
-    thr = cfg.threshold(scale)
-    diag = np.diagonal(M)
-    c = diag.mean()
-    off = M - np.diag(diag)
-    if np.abs(off).max(initial=0.0) > thr:
-        return False, c
-    if n > 1:
-        spread = np.abs(diag[:, None] - diag[None, :]).max()
-        if spread > thr:
-            return False, c
-    return True, c
+    off, diag = _scalar_violations(M, cfg.threshold(scale))
+    return not (off.any() or diag.any()), np.diagonal(M).mean()
 
 
 def _unit(n, i, dtype):
     v = np.zeros(n, dtype=dtype)
     v[i] = 1
     return v
-
-
-def _image_scale(T: Superoperator) -> float:
-    im = basis_image_array(T)
-    return float(np.sqrt((np.abs(im) ** 2).sum(axis=(2, 3))).max())
 
 
 def _certificate(T, i, l, a, b, kind):
@@ -126,34 +124,22 @@ def _certificate(T, i, l, a, b, kind):
     return A, B
 
 
-def is_separating_exact(
-    T: Superoperator, cfg: FieldConfig | None = None, scale: float | None = None
-) -> Verdict:
+def is_separating_exact(T: Superoperator, *, scale: float | None = None) -> Verdict:
     """Exact separating check via the scalar-identity reduction (see module docstring).
 
     ``scale`` overrides the violation scale (default: the squared max basis
     image norm of T itself); the function-algebra checks pass a global one.
     Cost is O(n^4 m^3) after precomputing basis images; fine for n, m <= 12.
     """
-    cfg = cfg or T.cfg
-    n, m = T.n_in, T.n_out
-    im = basis_image_array(T)  # im[i, a] = T(E_ia)
+    im = basis_image_array(T.mat)  # im[i, a] = T(E_ia)
     if scale is None:
-        scale = _image_scale(T) ** 2
-    thr = cfg.threshold(scale)
+        scale = image_scale(im) ** 2
+    thr = T.cfg.threshold(scale)
 
     # P[i, l, p, q, a, b] = [T(E_ia) @ T(E_bl)]_{pq}
     P = np.einsum("iapr,blrq->ilpqab", im, im)
 
-    off_mask = np.abs(P) > thr
-    ar = np.arange(n)
-    off_mask[..., ar, ar] = False
-
-    D = P[..., ar, ar]  # D[i, l, p, q, a]
-    diff = np.abs(D[..., :, None] - D[..., None, :])
-    diag_mask = diff > thr
-    diag_mask &= ar[:, None] < ar[None, :]  # unordered pairs a < b
-
+    off_mask, diag_mask = _scalar_violations(P, thr)
     if not off_mask.any() and not diag_mask.any():
         return Verdict(SEPARATING)
 
@@ -215,27 +201,24 @@ def _batch_apply(T, X):
     return out.reshape(count, T.n_out, T.n_out).transpose(0, 2, 1)
 
 
-def is_separating_sampled(
-    T: Superoperator, trials: int, seed, cfg: FieldConfig | None = None
-) -> Verdict:
+def is_separating_sampled(T: Superoperator, trials: int, seed) -> Verdict:
     """Monte-Carlo separating check over random zero-product pairs.
 
     Draws pairs across all feasible rank splits; a violation yields a
     self-verified counterexample, absence of one gives only one-sided
     confidence (a SEPARATING verdict can be wrong, NOT_SEPARATING cannot).
     """
-    cfg = cfg or T.cfg
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = T.n_in
     splits = _feasible_splits(n)
     if not splits:
         return Verdict(SEPARATING)
-    thr = cfg.threshold(_image_scale(T) ** 2)
+    thr = T.cfg.threshold(image_scale(basis_image_array(T.mat)) ** 2)
     rng = np.random.default_rng(seed)
     per = -(-trials // len(splits))
     for ra, rb in splits:
-        A, B = _standard_pairs(n, rng, ra, rb, per, cfg)
+        A, B = _standard_pairs(n, rng, ra, rb, per, T.cfg)
         na = np.linalg.norm(A, axis=(1, 2), keepdims=True)
         nb = np.linalg.norm(B, axis=(1, 2), keepdims=True)
         A = A / np.where(na > 0, na, 1.0)
@@ -255,19 +238,18 @@ def is_separating_sampled(
     return Verdict(SEPARATING)
 
 
-def is_biseparating(T: Superoperator, cfg: FieldConfig | None = None) -> Verdict:
+def is_biseparating(T: Superoperator) -> Verdict:
     """Separating check on T and on T^{-1}; NOT_INVERTIBLE when no inverse exists."""
-    cfg = cfg or T.cfg
     if not T.is_endo:
         return Verdict(NOT_INVERTIBLE)
     try:
         T_inv = inverse(T)
     except SingularMatrix:
         return Verdict(NOT_INVERTIBLE)
-    forward = is_separating_exact(T, cfg)
+    forward = is_separating_exact(T)
     if not forward:
         return Verdict(NOT_SEPARATING, counterexample=forward.counterexample, direction=FORWARD)
-    backward = is_separating_exact(T_inv, cfg)
+    backward = is_separating_exact(T_inv)
     if not backward:
         return Verdict(NOT_SEPARATING, counterexample=backward.counterexample, direction=INVERSE)
     return Verdict(BISEPARATING)

@@ -26,7 +26,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .linalg import frob, invert, numeric_rank, outer, rank_one_factor
-from .superop import Superoperator, apply, basis_image_array
+from .superop import Superoperator, apply, basis_image_array, image_scale
 
 _PROBE_SEED = 1729
 _PROBE_COUNT = 20
@@ -72,16 +72,14 @@ def gauge_normalize(S, cfg: FieldConfig):
     return S
 
 
-def check_rank_one_preserving(T: Superoperator, cfg: FieldConfig | None = None) -> bool:
+def check_rank_one_preserving(T: Superoperator) -> bool:
     """True iff every matrix-unit image and 20 seeded random rank-one probes
     map to numeric-rank-one matrices."""
-    cfg = cfg or T.cfg
-    n = T.n_in
-    im = basis_image_array(T)
-    for i in range(n):
-        for j in range(n):
-            if numeric_rank(im[i, j], cfg) != 1:
-                return False
+    cfg, n = T.cfg, T.n_in
+    im = basis_image_array(T.mat)
+    # E_11 alone rejects most maps that fail, without the n^2 SVDs of the batch
+    if numeric_rank(im[0, 0], cfg) != 1 or (numeric_rank(im, cfg) != 1).any():
+        return False
     rng = np.random.default_rng(_PROBE_SEED)
     for _ in range(_PROBE_COUNT):
         u = rng.standard_normal(n)
@@ -94,32 +92,34 @@ def check_rank_one_preserving(T: Superoperator, cfg: FieldConfig | None = None) 
     return True
 
 
-def verify_form(T: Superoperator, form: ConjugationForm, cfg: FieldConfig | None = None) -> float:
+def unit_deviations(im, form: ConjugationForm, cfg: FieldConfig) -> np.ndarray:
+    """||T(E_ij) - alpha S E_ij S^{-1}||_F for every matrix unit, from the basis images im."""
+    S_inv, _ = invert(form.S, cfg)
+    # model[i, j] = alpha * S E_ij S^{-1} = alpha * outer(S[:, i], S_inv[j, :])
+    model = form.alpha * np.einsum("pi,jq->ijpq", form.S, S_inv)
+    return np.linalg.norm(im - model, axis=(2, 3))
+
+
+def verify_form(T: Superoperator, form: ConjugationForm) -> float:
     """Relative residual of the form against T over the matrix-unit basis:
     max_ij ||T(E_ij) - alpha S E_ij S^{-1}||_F / max_ij ||T(E_ij)||_F."""
-    cfg = cfg or T.cfg
     S = np.asarray(form.S)
     if S.shape != (T.n_in, T.n_in) or not T.is_endo:
         raise DimensionMismatch(f"form shape {S.shape} does not match map {T.n_in} -> {T.n_out}")
-    im = basis_image_array(T)
-    norms = np.sqrt((np.abs(im) ** 2).sum(axis=(2, 3)))
-    scale = float(norms.max())
-    if scale <= cfg.tol_abs:
+    im = basis_image_array(T.mat)
+    scale = image_scale(im)
+    if scale <= T.cfg.tol_abs:
         raise DegenerateMap("all basis images vanish; residual is undefined")
-    S_inv, _ = invert(S, cfg)
-    # model[i, j] = alpha * S E_ij S^{-1} = alpha * outer(S[:, i], S_inv[j, :])
-    model = form.alpha * np.einsum("pi,jq->ijpq", S, S_inv)
-    err = np.sqrt((np.abs(im - model) ** 2).sum(axis=(2, 3)))
-    return float(err.max()) / scale
+    return float(unit_deviations(im, form, T.cfg).max()) / scale
 
 
-def recover_conjugation(T: Superoperator, cfg: FieldConfig | None = None) -> ConjugationForm:
+def recover_conjugation(T: Superoperator) -> ConjugationForm:
     """Reconstruct (alpha, S) from a map of the scaled-similarity form.
 
     Raises NotRankOnePreserving, NotFactorizable, NotInvertibleS or
     NotStandardForm naming the reconstruction step that failed.
     """
-    cfg = cfg or T.cfg
+    cfg = T.cfg
     if not T.is_endo:
         raise DimensionMismatch(f"recovery needs n_in = n_out, got {T.n_in} -> {T.n_out}")
     n = T.n_in
@@ -131,10 +131,10 @@ def recover_conjugation(T: Superoperator, cfg: FieldConfig | None = None) -> Con
         alpha = complex(alpha) if cfg.is_complex else float(alpha.real)
         return ConjugationForm(alpha=alpha, S=np.eye(1, dtype=cfg.dtype))
 
-    if not check_rank_one_preserving(T, cfg):
+    if not check_rank_one_preserving(T):
         raise NotRankOnePreserving("a rank-one input maps to a non-rank-one image")
 
-    im = basis_image_array(T)
+    im = basis_image_array(T.mat)
     try:
         first = rank_one_factor(im[0, 0], cfg)
     except (ZeroMatrix,) as exc:
@@ -166,7 +166,7 @@ def recover_conjugation(T: Superoperator, cfg: FieldConfig | None = None) -> Con
     alpha = complex(alpha) if cfg.is_complex else float(alpha.real)
 
     form = ConjugationForm(alpha=alpha, S=gauge_normalize(S, cfg))
-    residual = verify_form(T, form, cfg)
+    residual = verify_form(T, form)
     if residual > cfg.tol_rel:
         raise NotStandardForm(
             f"rank-one columns assemble, but the full-basis residual {residual:.3e} "

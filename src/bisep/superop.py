@@ -7,6 +7,7 @@ everything downstream, so the convention is asserted here and recorded
 in the file format.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +69,18 @@ def basis_images(T: Superoperator):
     return [unvec(T.mat[:, k], T.n_out) for k in range(T.n_in**2)]
 
 
-def basis_image_array(T: Superoperator) -> np.ndarray:
-    """Basis images as an array IM with IM[p, q] = T(E_pq), shape (n, n, m, m)."""
-    n, m = T.n_in, T.n_out
+def basis_image_array(mat) -> np.ndarray:
+    """Basis images of a map matrix, or of each in a stack of them:
+    IM[..., p, q, :, :] = T(E_pq), shape (..., n, n, m, m)."""
+    k = mat.ndim - 2
+    m, n = math.isqrt(mat.shape[-2]), math.isqrt(mat.shape[-1])
     # column q*n+p holds vec(T(E_pq)); peel both column-major indexings apart
-    return T.mat.reshape(m, m, n, n).transpose(3, 2, 1, 0)
+    return mat.reshape(mat.shape[:-2] + (m, m, n, n)).transpose(*range(k), k + 3, k + 2, k + 1, k)
+
+
+def image_scale(im) -> float:
+    """Largest Frobenius norm among basis images (trailing two axes of im)."""
+    return float(np.linalg.norm(im, axis=(-2, -1)).max(initial=0.0))
 
 
 def from_basis_images(images, cfg: FieldConfig = DEFAULT) -> Superoperator:

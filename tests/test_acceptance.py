@@ -33,8 +33,7 @@ from bisep import (
 )
 from bisep.errors import RecoveryError
 from bisep.linalg import kernel_basis, numeric_rank
-from bisep.separating import _image_scale
-from bisep.superop import apply
+from bisep.superop import apply, basis_image_array, image_scale
 
 CFG = FieldConfig()
 
@@ -77,7 +76,7 @@ def test_criterion_2_separating_checker_soundness():
         T = gen_transpose(n)
         verdict = is_separating_exact(T)
         ce = verdict.counterexample
-        scale = _image_scale(T) ** 2
+        scale = image_scale(basis_image_array(T.mat)) ** 2
         good = (
             verdict.status == "not_separating"
             and np.linalg.norm(ce.A @ ce.B)

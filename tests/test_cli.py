@@ -1,14 +1,16 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bisep.cli import main
-from bisep.instancefile import load_truth, save_instance
+from bisep.instancefile import MAX_ENTRIES, load_truth, save_instance
 from bisep import Superoperator, gen_conjugation
+from bisep.errors import DimensionMismatch
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -216,7 +218,43 @@ class TestSchemaFailures:
                 capsys, "gen", "superop", tmp_path / "x.json", "--n", n, "--negative", "transpose"
             )
             assert code == 1 and rep["status"] == "invalid_params"
+        # maps over instancefile.MAX_ENTRIES are refused before any is generated
+        for argv in (("superop", "--n", 1000, "--negative", "transpose"),
+                     ("superop", "--n", 1000),
+                     ("big_superop", "--k", 3000, "--n", 2)):
+            start = time.perf_counter()
+            code, rep = run_cli(capsys, "gen", argv[0], tmp_path / "x.json", *argv[1:])
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and rep["status"] == "invalid_params"
+            assert str(MAX_ENTRIES) in rep["error"]
         assert not (tmp_path / "x.json").exists()
+
+
+def test_every_failure_prints_one_report(tmp_path, capsys, monkeypatch, report_schema):
+    """main maps what a command raises to one schema-valid report and exit 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    inst = tmp_path / "inst.json"
+    run_cli(capsys, "gen", "superop", inst, "--n", 2)
+    cases = [
+        (["check", bad], "schema_error"),
+        (["decompose", tmp_path / "missing.json"], "schema_error"),
+        (["gen", "superop", tmp_path / "x.json", "--cond-cap", "0.5"], "invalid_params"),
+        (["gen", "superop", tmp_path / "x.json", "--n", "4", "--tol", "0.5"], "invalid_params"),
+        (["gen", "superop", tmp_path / "no_dir" / "x.json"], "io_error"),
+        (["check", inst], "error"),
+    ]
+
+    def broken(T):
+        raise DimensionMismatch("injected")
+
+    monkeypatch.setattr("bisep.cli.is_biseparating", broken)
+    for argv, status in cases:
+        code = main([str(a) for a in argv])
+        rep = json.loads(capsys.readouterr().out)  # exactly one JSON document
+        assert code == 1 and rep["status"] == status, argv
+        assert rep["elapsed_ms"] >= 0 and rep["error"]
+        report_schema(rep)
 
 
 class TestDecomposeFailures:
@@ -276,6 +314,20 @@ def test_usage_errors_exit_1(capsys):
         main(["check", "x.json", "--bogus"])
     assert exc.value.code == 1
     capsys.readouterr()
+    # numeric flags out of range are usage errors too: a report would echo an
+    # invalid tolerance (the schema wants tol_rel > 0)
+    bad_flags = [("--tol", "0"), ("--tol", "nan"), ("--tol", "-1e-9"), ("--tol", "inf"),
+                 ("--tol-abs", "-1"), ("--tol-abs", "0")]
+    argvs = [["check", "x.json", *flag] for flag in bad_flags]
+    argvs += [["check", "x.json", "--sampled", "0"], ["check", "x.json", "--sampled", "-5"]]
+    argvs += [["decompose", "x.json", "--tol", "0"], ["gen", "superop", "x.json", "--tol", "nan"],
+              ["roundtrip", "--tol", "-1"], ["roundtrip", "--tol-abs", "nan"]]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err, argv
 
 
 def test_reports_round_trip_through_json(tmp_path, capsys):

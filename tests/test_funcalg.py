@@ -13,6 +13,7 @@ from bisep import (
     apply_fn,
     conjugation_superop,
     delta_fn,
+    gen_conjugation,
     gen_point_mixing,
     gen_pointwise,
     gen_transpose,
@@ -21,9 +22,11 @@ from bisep import (
     is_separating_exact,
     is_separating_fn,
     is_strictly_separating,
+    perturb,
     recover_conjugation,
     recover_pointwise,
     support,
+    verify_form,
     verify_pointwise,
     zero_product_iff_disjoint_support,
 )
@@ -31,6 +34,7 @@ from bisep.errors import DimensionMismatch
 from bisep.separating import BISEPARATING, FORWARD, NOT_INVERTIBLE, NOT_SEPARATING
 from bisep.funcalg import constant_fn, multiply
 from bisep.linalg import kernel_basis, numeric_rank
+from bisep.superop import basis_image_array, image_scale
 
 CFG = FieldConfig()
 X2 = DiscreteSpace(("x1", "x2"))
@@ -411,6 +415,30 @@ class TestVerifyPointwise:
             S={"y1": np.eye(1), "y2": np.eye(1)},
         )
         assert verify_pointwise(T, form) <= 1e-14
+
+
+class TestSharedWithSuperop:
+    def test_stacked_basis_images_equal_per_block_images(self):
+        T = perturb(gen_point_mixing(3, 2, seed=4, cfg=FieldConfig(field="complex")), 1e-3, seed=4)
+        stacked = basis_image_array(T.blocks)
+        assert stacked.shape == (3, 3, 2, 2, 2, 2)
+        for x2 in range(3):
+            for x1 in range(3):
+                assert np.array_equal(stacked[x2, x1], basis_image_array(T.block(x2, x1).mat))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_point_map_matches_its_superop_bit_for_bit(self, field):
+        cfg = FieldConfig(field=field)
+        one = DiscreteSpace(("p",))
+        for seed in range(20):
+            T = gen_conjugation(3, seed=seed, cfg=cfg).map
+            big = BigSuperoperator(space_in=one, space_out=one, n_in=3, n_out=3,
+                                   blocks=T.mat[None, None], cfg=cfg)
+            scale = image_scale(basis_image_array(T.mat))
+            assert image_scale(basis_image_array(big.blocks)) == scale
+            form = recover_conjugation(T)
+            pointwise = PointwiseForm(phi={"p": "p"}, alphas={"p": form.alpha}, S={"p": form.S})
+            assert verify_pointwise(big, pointwise) == verify_form(T, form)
 
 
 def test_bridge_algebraic_implies_strict_small():

@@ -129,6 +129,21 @@ class TestNumericRank:
             A = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
             assert numeric_rank(A, CFG) == numeric_rank(A.T, CFG) == r
 
+    def test_stack_matches_matrix_by_matrix(self):
+        rng = np.random.default_rng(6)
+        for cfg in (CFG, CFG_C):
+            # ranks 0..3, plus directions scaled to sit on both sides of tol_rel and tol_abs
+            factors = [rng.standard_normal((4, r)) @ rng.standard_normal((r, 4)) for r in range(4)]
+            stack = np.array(factors + [np.diag([1.0, 2e-9, 5e-10, 0.0]),
+                                        np.diag([2e-12, 1e-12, 0.0, 0.0]),
+                                        np.diag([5e-13, 0.0, 0.0, 0.0])], dtype=cfg.dtype)
+            stack = np.stack([stack, 1j * stack if cfg.is_complex else -stack])
+            ranks = numeric_rank(stack, cfg)
+            assert ranks.shape == stack.shape[:2]
+            for idx in np.ndindex(*ranks.shape):
+                assert ranks[idx] == numeric_rank(stack[idx], cfg)
+            assert list(ranks[0]) == [0, 1, 2, 3, 2, 2, 0]
+
 
 class TestInvert:
     def test_identity(self):

@@ -23,8 +23,7 @@ from bisep import (
 )
 from bisep.errors import InfeasibleRanks
 from bisep.linalg import frob, numeric_rank
-from bisep.separating import _image_scale
-from bisep.superop import apply
+from bisep.superop import apply, basis_image_array, image_scale
 
 CFG = FieldConfig()
 
@@ -45,6 +44,28 @@ class TestScalarIdentityTest:
     def test_diagonal_mismatch_fails(self):
         ok, _ = scalar_identity_test(np.diag([1.0, 2.0]), CFG, scale=1.0)
         assert not ok
+
+
+    def test_agrees_with_the_checker_on_basis_products(self):
+        """The checker's verdict is separating iff every matrix M_ab of the
+        module docstring passes scalar_identity_test at the checker's scale."""
+        rng = np.random.default_rng(3)
+        maps = [gen_transpose(3), gen_conjugation(3, seed=1).map]
+        maps += [perturb(gen_conjugation(3, seed=s).map, eps, seed=s)
+                 for s, eps in ((2, 1e-3), (3, 1e-8), (4, 1e-11))]
+        maps += [Superoperator(n_in=2, n_out=2, mat=rng.standard_normal((4, 4)))]
+        for T in maps:
+            im = basis_image_array(T.mat)
+            scale = image_scale(im) ** 2
+            n, m = T.n_in, T.n_out
+            scalar = all(
+                scalar_identity_test(
+                    np.array([[(im[i, a] @ im[b, l])[p, q] for b in range(n)] for a in range(n)]),
+                    T.cfg, scale,
+                )[0]
+                for i, l, p, q in itertools.product(range(n), range(n), range(m), range(m))
+            )
+            assert scalar == (is_separating_exact(T).status == SEPARATING)
 
 
 class TestExactChecker:
@@ -235,7 +256,7 @@ def _reference_counterexample(T):
         return E
 
     im = [[apply(T, unit(i, a)) for a in range(n)] for i in range(n)]
-    thr = T.cfg.threshold(_image_scale(T) ** 2)
+    thr = T.cfg.threshold(image_scale(basis_image_array(T.mat)) ** 2)
 
     def entry(i, a, b, l, p, q):  # [T(E_ia) T(E_bl)]_pq
         return sum(im[i][a][p, r] * im[b][l][r, q] for r in range(m))

@@ -106,7 +106,7 @@ class TestRecover:
                     np.testing.assert_allclose(
                         form.S, gauge_normalize(S, cfg), atol=1e-8
                     )
-                    assert verify_form(T, form, cfg) <= 1e-8
+                    assert verify_form(T, form) <= 1e-8
 
     def test_gauge_scale_of_input_is_irrelevant(self):
         rng = np.random.default_rng(8)
