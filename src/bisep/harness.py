@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT, FieldConfig
-from .errors import DimensionMismatch
+from .errors import BisepError, DimensionMismatch
 from .funcalg import BigSuperoperator, DiscreteSpace, PointwiseForm, verify_pointwise
 from .linalg import frob, gaussian
 from .structure import ConjugationForm, gauge_normalize, verify_form
@@ -71,7 +71,11 @@ def gen_conjugation(
     alpha = _random_alpha(rng, alpha_range, cfg)
     T = conjugation_superop(alpha, S, cfg)
     truth = ConjugationForm(alpha=alpha, S=gauge_normalize(S, cfg))
-    assert verify_form(T, truth) <= 1e-10
+    residual = verify_form(T, truth)
+    if not residual <= 1e-10:  # nan, from an overflow, fails too
+        raise BisepError(
+            f"generated conjugation map misses its ground truth: residual {residual:.3g}"
+        )
     return InstanceBundle(
         description=f"conjugation n={n} seed={seed}", map=T, seed=seed, ground_truth=truth
     )
@@ -103,7 +107,11 @@ def gen_pointwise(k, n, seed, cfg: FieldConfig = DEFAULT) -> InstanceBundle:
         space_in=space_in, space_out=space_out, n_in=n, n_out=n, blocks=blocks, cfg=cfg
     )
     truth = PointwiseForm(phi=phi, alphas=alphas, S=Ss)
-    assert verify_pointwise(T, truth) <= 1e-10
+    residual = verify_pointwise(T, truth)
+    if not residual <= 1e-10:
+        raise BisepError(
+            f"generated pointwise map misses its ground truth: residual {residual:.3g}"
+        )
     return InstanceBundle(
         description=f"pointwise k={k} n={n} seed={seed}", map=T, seed=seed, ground_truth=truth
     )

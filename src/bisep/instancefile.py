@@ -7,12 +7,24 @@ other value is rejected so foreign files cannot be misread silently.
 Floats are emitted with 17 significant digits, which round-trips IEEE
 doubles exactly.  A file may declare at most MAX_ENTRIES map entries; the
 header is checked before the map is allocated.
+
+Matrices are written and read as whole blocks.  ``dumps`` renders a list or
+dict whose values nest evenly down to floats (a matrix, a complex one's
+[re, im] pairs, all blocks of a block map) with one ``%`` format over a
+template that carries the layout's pads and commas; the bytes are those of
+the float-by-float renderer.  ``matrix_from_json``, and the block-map reader
+for all its blocks at once, builds one float64 array once the shape and the
+entry types check out.  Every matrix entry must be a JSON number that is a
+finite double; on a bad entry the per-entry walk runs and its SchemaError
+names the entry.
 """
 
+import functools
 import json
 import math
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -44,25 +56,77 @@ def _fmt_float(x) -> str:
     return s
 
 
+def _nest_shape(values, leaves, containers):
+    """The shape of ``values`` when it nests non-empty lists (of types in
+    ``containers``) evenly down to entries whose types are all in ``leaves``;
+    None otherwise."""
+    shape, level = [len(values)], values
+    while True:
+        kinds = set(map(type, level))
+        if kinds and kinds <= leaves:
+            return tuple(shape)
+        widths = set(map(len, level)) if kinds <= containers else ()
+        if len(widths) != 1 or 0 in widths:
+            return None
+        shape.append(len(level[0]))
+        level = list(chain.from_iterable(level))
+
+
+# Sub-blocks of up to this many entries have their templates cached, which
+# bounds what the cache holds.
+CACHED_ENTRIES = 1024
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_template(flags, shape, depth):
+    return _template(flags, shape, depth)
+
+
+def _template(flags, shape, depth, heads=None, brackets="[]"):
+    """The %-template of a float block of ``shape`` rendered at ``depth``: one
+    %.17g slot per entry, with '.0' after those whose byte in ``flags`` is 1.
+    Item i of the outer level opens with ``heads[i]`` (default: the pad)."""
+    heads = heads or ["\n" + "  " * (depth + 1)] * shape[0]
+    if len(shape) == 1:
+        items = [h + ("%.17g.0" if f else "%.17g") for h, f in zip(heads, flags)]
+    else:
+        step = len(flags) // shape[0]
+        sub = _cached_template if step <= CACHED_ENTRIES else _template
+        items = [h + sub(flags[i * step:(i + 1) * step], shape[1:], depth + 1)
+                 for i, h in enumerate(heads)]
+    return brackets[0] + ",".join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _emit_block(a, depth, heads, brackets):
+    """What render gives for the float block ``a``, in one format call."""
+    mag = np.abs(a)
+    if not mag.max() < np.inf:  # nan fails the test too
+        raise ValueError("non-finite floats cannot be serialized")
+    # %.17g prints an integer-valued double below 1e17 with neither '.' nor 'e'
+    flags = ((a == np.trunc(a)) & (mag < 1e17)).tobytes()
+    heads = [h.replace("%", "%%") for h in heads]
+    return _template(flags, a.shape, depth, heads, brackets) % tuple(a.ravel().tolist())
+
+
 def dumps(obj) -> str:
     """Serialize dict/list/str/int/float/bool/None to JSON text with
-    full-precision floats, indented by two spaces."""
+    full-precision floats, indented by two spaces.  A list or dict whose
+    values form one float block is rendered with one format call."""
 
     def render(node, depth):
         pad = "\n" + "  " * (depth + 1)
-        end = "\n" + "  " * depth
-        if isinstance(node, dict):
-            if not node:
-                return "{}"
-            items = [
-                f"{pad}{json.dumps(str(k))}: {render(v, depth + 1)}" for k, v in node.items()
-            ]
-            return "{" + ",".join(items) + end + "}"
-        if isinstance(node, (list, tuple)):
+        if isinstance(node, (dict, list, tuple)):
             if not len(node):
-                return "[]"
-            items = [f"{pad}{render(v, depth + 1)}" for v in node]
-            return "[" + ",".join(items) + end + "]"
+                return "{}" if isinstance(node, dict) else "[]"
+            if isinstance(node, dict):
+                heads = [f"{pad}{json.dumps(str(k))}: " for k in node]
+                values, brackets = list(node.values()), "{}"
+            else:
+                heads, values, brackets = [pad] * len(node), node, "[]"
+            if _nest_shape(values, {float}, {list, tuple}):
+                return _emit_block(np.array(values), depth, heads, brackets)
+            items = [h + render(v, depth + 1) for h, v in zip(heads, values)]
+            return brackets[0] + ",".join(items) + "\n" + "  " * depth + brackets[1]
         if isinstance(node, bool):
             return "true" if node else "false"
         if isinstance(node, (int, np.integer)):
@@ -88,9 +152,8 @@ def scalar_to_json(x, field):
 
 def matrix_to_json(A, field):
     A = np.asarray(A)
-    if field == COMPLEX:
-        return [[[float(v.real), float(v.imag)] for v in row] for row in A]
-    return [[float(v.real) for v in row] for row in A]
+    parts = np.stack((A.real, A.imag), -1) if field == COMPLEX else A.real
+    return parts.astype(np.float64).tolist()
 
 
 def write_atomic(path, text):
@@ -135,13 +198,35 @@ def _scalar_from_json(v, field, where):
     if field == COMPLEX:
         if not (isinstance(v, list) and len(v) == 2 and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
             raise SchemaError(f"complex entry at {where} must be a [re, im] pair", field=where)
-        return complex(v[0], v[1])
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    elif not isinstance(v, (int, float)) or isinstance(v, bool):
         raise SchemaError(f"real entry at {where} must be a number", field=where)
-    return float(v)
+    try:
+        return complex(v[0], v[1]) if field == COMPLEX else float(v)
+    except OverflowError:  # a JSON integer beyond the range of a double
+        raise SchemaError(f"entry at {where} is too large for a double", field=where) from None
+
+
+def _float_rows(rows, field, shape):
+    """``rows`` as an array of ``shape``, built in one step; None when any
+    check fails, so that the per-entry walk names the bad entry."""
+    full = shape + ((2,) if field == COMPLEX else ())
+    # int and float entries only: bools, strings and null go to the walk
+    if not isinstance(rows, list) or _nest_shape(rows, {float, int}, {list}) != full:
+        return None
+    try:
+        a = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(a).all():
+        return None
+    # the [re, im] pairs viewed as complex128 keep signed zeros, as complex(re, im) does
+    return a.view(np.complex128).reshape(shape) if field == COMPLEX else a
 
 
 def matrix_from_json(rows, field, shape, where):
+    block = _float_rows(rows, field, shape)
+    if block is not None:
+        return block
     if not isinstance(rows, list) or len(rows) != shape[0]:
         raise SchemaError(
             f"field {where!r} must be a list of {shape[0]} rows", field=where
@@ -219,11 +304,12 @@ def instance_to_json(obj) -> dict:
             "matrix": matrix_to_json(obj.mat, obj.cfg.field),
         }
     if isinstance(obj, BigSuperoperator):
-        blocks = {}
-        for x2, lab2 in enumerate(obj.space_out.labels):
-            for x1, lab1 in enumerate(obj.space_in.labels):
-                if np.any(obj.blocks[x2, x1] != 0):
-                    blocks[f"{lab2}/{lab1}"] = matrix_to_json(obj.blocks[x2, x1], obj.cfg.field)
+        nonzero = (obj.blocks != 0).any(axis=(2, 3))
+        blocks = {
+            f"{obj.space_out.labels[x2]}/{obj.space_in.labels[x1]}":
+                matrix_to_json(obj.blocks[x2, x1], obj.cfg.field)
+            for x2, x1 in zip(*np.nonzero(nonzero))
+        }
         return {
             "kind": KIND_BIG,
             "field": obj.cfg.field,
@@ -263,7 +349,10 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
     space_out = DiscreteSpace(points_out)
     raw_blocks = _need(obj, "blocks", dict)
     blocks = np.zeros((space_out.k, space_in.k, n_out**2, n_in**2), dtype=cfg.dtype)
-    for key, rows in raw_blocks.items():
+    # all blocks in one array build; if any entry is bad, each block is read
+    # on its own, so the first bad key or entry is the one named
+    stack = _float_rows(list(raw_blocks.values()), field, (len(raw_blocks),) + blocks.shape[2:])
+    for i, (key, rows) in enumerate(raw_blocks.items()):
         parts = key.split("/")
         if len(parts) != 2 or parts[0] not in points_out or parts[1] not in points_in:
             raise SchemaError(
@@ -272,8 +361,8 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
             )
         x2 = points_out.index(parts[0])
         x1 = points_in.index(parts[1])
-        blocks[x2, x1] = matrix_from_json(
-            rows, field, (n_out**2, n_in**2), f"blocks[{key!r}]"
+        blocks[x2, x1] = stack[i] if stack is not None else matrix_from_json(
+            rows, field, blocks.shape[2:], f"blocks[{key!r}]"
         )
     return BigSuperoperator(
         space_in=space_in, space_out=space_out, n_in=n_in, n_out=n_out, blocks=blocks, cfg=cfg
@@ -286,7 +375,7 @@ def load_instance(path, tol_rel=None, tol_abs=None):
             obj = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}", field="$") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}", field="$") from exc
     return instance_from_json(obj, tol_rel=tol_rel, tol_abs=tol_abs)
 

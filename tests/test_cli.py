@@ -198,6 +198,19 @@ class TestSchemaFailures:
         assert code == 1 and rep["status"] == "schema_error"
         assert rep["field"] == "n_in"
 
+    def test_huge_integer_entry_is_one_report(self, tmp_path, capsys, report_schema):
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "gen", "superop", inst, "--n", 2)
+        obj = json.loads(inst.read_text())
+        obj["matrix"][0][1] = 10**400
+        inst.write_text(json.dumps(obj))
+        for verb in ("check", "decompose"):
+            code = main([verb, str(inst)])
+            rep = json.loads(capsys.readouterr().out)  # exactly one JSON document
+            assert code == 1 and rep["status"] == "schema_error"
+            assert rep["field"] == "matrix[0][1]"
+            report_schema(rep)
+
     def test_decompose_bad_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[]")
@@ -227,6 +240,11 @@ class TestSchemaFailures:
             assert time.perf_counter() - start < 1.0
             assert code == 1 and rep["status"] == "invalid_params"
             assert str(MAX_ENTRIES) in rep["error"]
+        # the basis images overflow, so the map misses its own ground truth
+        code, rep = run_cli(capsys, "gen", "superop", tmp_path / "x.json", "--n", 3,
+                            "--alpha", 0.5, 1e300)
+        assert code == 1 and rep["status"] == "invalid_params"
+        assert "ground truth" in rep["error"]
         assert not (tmp_path / "x.json").exists()
 
 

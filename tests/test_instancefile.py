@@ -1,8 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bisep import FieldConfig, SchemaError, Superoperator, gen_conjugation, gen_pointwise
 from bisep.instancefile import (
@@ -10,6 +14,8 @@ from bisep.instancefile import (
     instance_from_json,
     instance_to_json,
     load_instance,
+    matrix_from_json,
+    matrix_to_json,
     save_instance,
     truth_from_json,
     truth_path_for,
@@ -45,6 +51,143 @@ class TestDumps:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps(float("nan"))
+
+
+def _reference_dumps(obj):
+    """The float-by-float renderer whose bytes dumps must reproduce."""
+
+    def fmt_float(x):
+        x = float(x)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError("non-finite floats cannot be serialized")
+        s = format(x, ".17g")
+        if "." not in s and "e" not in s and "E" not in s:
+            s += ".0"
+        return s
+
+    def render(node, depth):
+        pad = "\n" + "  " * (depth + 1)
+        end = "\n" + "  " * depth
+        if isinstance(node, dict):
+            if not node:
+                return "{}"
+            items = [f"{pad}{json.dumps(str(k))}: {render(v, depth + 1)}" for k, v in node.items()]
+            return "{" + ",".join(items) + end + "}"
+        if isinstance(node, (list, tuple)):
+            if not len(node):
+                return "[]"
+            return "[" + ",".join(f"{pad}{render(v, depth + 1)}" for v in node) + end + "]"
+        if isinstance(node, bool):
+            return "true" if node else "false"
+        if isinstance(node, (int, np.integer)):
+            return str(int(node))
+        if isinstance(node, (float, np.floating)):
+            return fmt_float(node)
+        if node is None:
+            return "null"
+        if isinstance(node, str):
+            return json.dumps(node)
+        raise TypeError(f"cannot serialize {type(node).__name__}")
+
+    return render(obj, 0)
+
+
+def _reference_matrix_to_json(A, field):
+    """Entry-by-entry matrix_to_json, the reference for the array version."""
+    A = np.asarray(A)
+    if field == "complex":
+        return [[[float(v.real), float(v.imag)] for v in row] for row in A]
+    return [[float(v.real) for v in row] for row in A]
+
+
+# doubles whose %.17g text needs, or just misses, the ".0" suffix
+HAZARD_FLOATS = (0.0, -0.0, 1.0, -3.0, 1e16, 1e17, 5e-324, 1.7976931348623157e308, 0.1)
+
+
+class TestDumpsMatchesReference:
+    @pytest.mark.parametrize("x", HAZARD_FLOATS)
+    def test_hazard_floats(self, x):
+        for obj in (x, -x, [x], [x, -x, 2.5], [[x, -x], [0.5, x]], {"a": [[x]], "b": [x, 1.5]}):
+            assert dumps(obj) == _reference_dumps(obj)
+
+    def test_all_hazards_in_one_block(self):
+        row = list(HAZARD_FLOATS) + [-v for v in HAZARD_FLOATS]
+        for obj in (row, [row, row[::-1]], {"x": {"y": [row] * 3}}):
+            assert dumps(obj) == _reference_dumps(obj)
+
+    def test_mixed_and_irregular_lists(self):
+        for obj in (
+            [1, 2.0, -0.0, 3],
+            [[1.0, 2], [3.0, 4.0]],
+            [[1.0], [2.0, 3.0]],
+            [(1.0, 2.0), [3.0, 4.0]],
+            (0.5, -0.0),
+            [True, 1.0],
+            [None, 1.0, "a"],
+            [[1.0, 2.0], 3.0],
+            [np.float64(1.0), 2.0],
+            [[[1.0, -0.0], [2.0, 0.0]], [[3.5, 1e17], [-1e16, 5e-324]]],
+        ):
+            assert dumps(obj) == _reference_dumps(obj)
+
+    def test_empty_lists_and_nested_dicts(self):
+        nested = {"a": {"b": [1.0, 2.0], "c": {"d": [[0.5, -0.0]]}}, "e": {}}
+        for obj in ([], [[]], [[], []], {}, {"a": []}, nested):
+            assert dumps(obj) == _reference_dumps(obj)
+
+    def test_dicts_of_blocks(self):
+        rng = np.random.default_rng(0)
+        big = rng.standard_normal((40, 40))
+        big[::3, ::2] = np.round(big[::3, ::2])  # integer-valued entries in a mixed pattern
+        for obj in (
+            {"x": 1.0, "y": -0.0},
+            {"x": 1.0, "y": 2},
+            {"a%s": [[1.0, 2.0]], "b%%d": [[3.0, -0.0]], "%(c)s": [[5e-324, 1e17]]},
+            {"y1/x1": [[[1.0, 0.0]]], "y2/x2": [[[0.5, -0.0]]]},
+            {"a": [[1.0]], "b": [[1.0, 2.0]]},
+            {"a": [[1.0]], "b": [[True]]},
+            {"m": big.tolist()},
+            {"p": big.tolist(), "q": (-big).tolist(), "r": big.T.tolist()},
+            [big.tolist(), big.tolist()],
+        ):
+            assert dumps(obj) == _reference_dumps(obj)
+
+    def test_complex_pairs_with_signed_zeros(self):
+        A = np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)], [1 + 0j, complex(-3.5, 2.0)]])
+        obj = matrix_to_json(A, "complex")
+        assert obj == _reference_matrix_to_json(A, "complex")
+        assert dumps(obj) == _reference_dumps(_reference_matrix_to_json(A, "complex"))
+        assert dumps({"S": obj}) == _reference_dumps({"S": obj})
+
+    def test_non_finite_in_a_block_rejected(self):
+        for bad in ([1.0, float("nan")], [[1.0], [float("inf")]], [[0.5, -float("inf")]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        A=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            elements=st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-(2**60), 2**60).map(float),
+                st.floats(min_value=-1e-307, max_value=1e-307, allow_subnormal=True),
+                st.sampled_from(HAZARD_FLOATS),
+            ),
+        ),
+        field=st.sampled_from(["real", "complex"]),
+    )
+    def test_random_arrays(self, A, field):
+        M = A + 1j * A[::-1] if field == "complex" else A
+        obj = matrix_to_json(M, field)
+        reference = _reference_matrix_to_json(M, field)
+        text = dumps({"matrix": obj})
+        assert text == _reference_dumps({"matrix": reference})
+        blocks = {"y1/x1": obj, "y2/x1": matrix_to_json(-M, field)}
+        assert dumps({"blocks": blocks}) == _reference_dumps({"blocks": blocks})
+        back = matrix_from_json(json.loads(text)["matrix"], field, M.shape, "matrix")
+        assert back.dtype == M.dtype and back.tobytes() == M.tobytes()  # signed zeros too
 
 
 class TestInstanceRoundTrip:
@@ -157,6 +300,35 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="non-finite"):
             instance_from_json(obj)
 
+    def test_huge_integer_real_entry(self):
+        obj = _valid_superop_obj()
+        obj["matrix"][0][1] = 10**400
+        with pytest.raises(SchemaError, match=r"matrix\[0\]\[1\] is too large") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "matrix[0][1]"
+
+    def test_huge_integer_complex_pair(self):
+        obj = instance_to_json(gen_conjugation(2, seed=8, cfg=FieldConfig(field="complex")).map)
+        obj["matrix"][3][2] = [0.5, -(10**400)]
+        with pytest.raises(SchemaError, match=r"matrix\[3\]\[2\] is too large") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "matrix[3][2]"
+
+    def test_huge_integer_in_a_block(self):
+        obj = _valid_big_obj()
+        key = next(iter(obj["blocks"]))
+        obj["blocks"][key][1][0] = 10**400
+        with pytest.raises(SchemaError, match="too large") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == f"blocks[{key!r}][1][0]"
+
+    def test_integer_over_the_digit_limit(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(_valid_superop_obj()).replace("[[", "[[" + "7" * 5000 + ", ", 1))
+        with pytest.raises(SchemaError, match="not valid JSON") as exc:
+            load_instance(path)
+        assert exc.value.field == "$"
+
     def test_duplicate_labels(self):
         obj = _valid_big_obj()
         obj["points_in"] = ["x1", "x1"]
@@ -168,6 +340,19 @@ class TestSchemaErrors:
         obj["points_in"] = ["x/1", "x2"]
         with pytest.raises(SchemaError, match=r"points_in\[0\]"):
             instance_from_json(obj)
+
+    def test_first_bad_block_in_file_order_is_named(self):
+        obj = _valid_big_obj()
+        first = next(iter(obj["blocks"]))
+        obj["blocks"][first][0][0] = True
+        obj["blocks"]["y1/zz"] = obj["blocks"][first]
+        with pytest.raises(SchemaError) as exc:
+            instance_from_json(obj)
+        assert exc.value.field == f"blocks[{first!r}][0][0]"
+        obj["blocks"] = {"y1/zz": [[0.0]], **obj["blocks"]}
+        with pytest.raises(SchemaError) as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "blocks['y1/zz']"
 
     def test_unknown_block_key(self):
         obj = _valid_big_obj()
@@ -187,6 +372,76 @@ class TestSchemaErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="cannot read"):
             load_instance(tmp_path / "absent.json")
+
+
+# Hazards that one array build would accept or mangle; each must get the
+# field and message of the per-entry walk: (field, where, entry, SchemaError
+# field, message).  A complex entry is replaced as a whole.
+PARSE_HAZARDS = [
+    ("real", (2, 1), True, "matrix[2][1]", "real entry at matrix[2][1] must be a number"),
+    ("real", (2, 1), "1.0", "matrix[2][1]", "real entry at matrix[2][1] must be a number"),
+    ("real", (2, 1), None, "matrix[2][1]", "real entry at matrix[2][1] must be a number"),
+    ("real", (2, 1), [1.0], "matrix[2][1]", "real entry at matrix[2][1] must be a number"),
+    ("real", (2, 1), 1e400, "matrix", "field 'matrix' contains non-finite entries"),
+    ("complex", (1, 3), [1.0, 0.0, 0.0], "matrix[1][3]",
+     "complex entry at matrix[1][3] must be a [re, im] pair"),
+    ("complex", (1, 3), [[1.0, 0.0]], "matrix[1][3]",
+     "complex entry at matrix[1][3] must be a [re, im] pair"),
+    ("complex", (1, 3), [True, 0.0], "matrix[1][3]",
+     "complex entry at matrix[1][3] must be a [re, im] pair"),
+    ("complex", (1, 3), [0.0, None], "matrix[1][3]",
+     "complex entry at matrix[1][3] must be a [re, im] pair"),
+    ("complex", (1, 3), 1.0, "matrix[1][3]",
+     "complex entry at matrix[1][3] must be a [re, im] pair"),
+    ("complex", (1, 3), [0.0, 1e400], "matrix", "field 'matrix' contains non-finite entries"),
+]
+
+
+class TestParseHazards:
+    @pytest.mark.parametrize("field,where,entry,err_field,message", PARSE_HAZARDS)
+    def test_entry(self, field, where, entry, err_field, message):
+        obj = instance_to_json(gen_conjugation(2, seed=8, cfg=FieldConfig(field=field)).map)
+        obj["matrix"][where[0]][where[1]] = entry
+        with pytest.raises(SchemaError) as exc:
+            instance_from_json(obj)
+        assert (exc.value.field, str(exc.value)) == (err_field, message)
+
+    def test_ragged_row(self):
+        obj = _valid_superop_obj()
+        obj["matrix"][1].append(0.0)
+        with pytest.raises(SchemaError) as exc:
+            instance_from_json(obj)
+        assert (exc.value.field, str(exc.value)) == (
+            "matrix[1]", "row matrix[1] must have 4 entries")
+
+    def test_one_nesting_level_too_many(self):
+        obj = _valid_superop_obj()
+        obj["matrix"] = [[[v] for v in row] for row in obj["matrix"]]
+        with pytest.raises(SchemaError) as exc:
+            instance_from_json(obj)
+        assert (exc.value.field, str(exc.value)) == (
+            "matrix[0][0]", "real entry at matrix[0][0] must be a number")
+
+    def test_real_matrix_in_a_complex_file(self):
+        obj = _valid_superop_obj()
+        obj["field"] = "complex"
+        with pytest.raises(SchemaError) as exc:
+            instance_from_json(obj)
+        assert (exc.value.field, str(exc.value)) == (
+            "matrix[0][0]", "complex entry at matrix[0][0] must be a [re, im] pair")
+
+    def test_integers_read_as_the_nearest_double(self):
+        obj = {**_header("superop", 1, 2), "matrix": [[2**53 + 1], [-(2**64) - 1], [3], [-0.0]]}
+        mat = instance_from_json(obj).mat
+        assert mat[:, 0].tolist() == [float(2**53 + 1), float(-(2**64) - 1), 3.0, 0.0]
+        assert math.copysign(1.0, mat[3, 0]) == -1.0
+
+    def test_signed_zeros_survive_in_complex_pairs(self):
+        obj = {**_header("superop", 1, 2), "field": "complex",
+               "matrix": [[[-0.0, -0.0]], [[0, -0.0]], [[-0.0, 0]], [[1, 2]]]}
+        mat = instance_from_json(obj).mat
+        expected = np.array([complex(-0.0, -0.0), complex(0, -0.0), complex(-0.0, 0), 1 + 2j])
+        assert mat[:, 0].tobytes() == expected.tobytes()
 
 
 def _header(kind, n_in, n_out):
