@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .config import COMPLEX, REAL, FieldConfig
+from .config import COMPLEX, DEFAULT, REAL, FieldConfig
 from .errors import BisepError, DimensionMismatch, RecoveryError, SchemaError, SingularMatrix
 from .funcalg import (
     NOT_STRICTLY_SEPARATING,
@@ -310,10 +310,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tols(p):
-        p.add_argument("--tol", type=positive_float, default=1e-9,
-                       help="relative tolerance (default 1e-9)")
-        p.add_argument("--tol-abs", type=positive_float, default=1e-12,
-                       help="absolute tolerance floor (default 1e-12)")
+        p.add_argument("--tol", type=positive_float, default=DEFAULT.tol_rel,
+                       help="relative tolerance (default %(default)g)")
+        p.add_argument("--tol-abs", type=positive_float, default=DEFAULT.tol_abs,
+                       help="absolute tolerance floor (default %(default)g)")
 
     p = sub.add_parser("check", help="decide the (bi)separating property of an instance file")
     p.add_argument("path")

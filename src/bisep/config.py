@@ -7,6 +7,12 @@ kernels and rank-one factors) counts its singular values above
 ``tol_rel * sigma_1``, and is 0 when ``sigma_1 <= tol_abs``; so a matrix
 with condition number >= 1/tol_rel counts as singular.  Functions that take
 a map read both tolerances from the map's ``cfg``.
+
+:meth:`FieldConfig.asarray`, through which every map and matrix enters, admits
+an array only if its entries are finite and twice its squared Frobenius norm
+is a finite double.  An entry of a product of two basis images, and the
+difference of two diagonal ones, is at most that much, so no threshold or
+violation the checkers compute can overflow.
 """
 
 from dataclasses import dataclass
@@ -47,10 +53,14 @@ class FieldConfig:
         return abs(value) <= self.threshold(scale)
 
     def asarray(self, a):
-        """Coerce to a dense array of the configured dtype, rejecting non-finite entries."""
+        """Coerce to a dense array of the configured dtype, rejecting non-finite
+        entries and arrays too large to multiply (see the module docstring)."""
         out = np.asarray(a, dtype=self.dtype)
         if not np.isfinite(out).all():
             raise ValueError("non-finite entries are not admitted")
+        # vdot overflows to inf or nan without a warning, and both fail the test
+        if not np.vdot(out, out).real <= np.finfo(np.float64).max / 2:
+            raise ValueError("entries too large: twice the squared Frobenius norm overflows a double")
         return out
 
 

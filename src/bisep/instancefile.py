@@ -16,7 +16,8 @@ the float-by-float renderer.  ``matrix_from_json``, and the block-map reader
 for all its blocks at once, builds one float64 array once the shape and the
 entry types check out.  Every matrix entry must be a JSON number that is a
 finite double; on a bad entry the per-entry walk runs and its SchemaError
-names the entry.
+names the entry.  A map, or one block of it, that ``FieldConfig.asarray``
+refuses as too large is a SchemaError naming ``matrix`` or the block key.
 """
 
 import functools
@@ -180,9 +181,7 @@ def _need(obj, key, kind, where="instance"):
     if key not in obj:
         raise SchemaError(f"missing required field {key!r} in {where}", field=key)
     value = obj[key]
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kind is int:
+    if kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
         ok = isinstance(value, kind)
@@ -242,6 +241,14 @@ def matrix_from_json(rows, field, shape, where):
     if not np.isfinite(out).all():
         raise SchemaError(f"field {where!r} contains non-finite entries", field=where)
     return out
+
+
+def _admit(cfg, a, where):
+    """``a`` as ``cfg`` admits it; a refusal is a SchemaError naming ``where``."""
+    try:
+        return cfg.asarray(a)
+    except ValueError as exc:
+        raise SchemaError(f"field {where!r}: {exc}", field=where) from None
 
 
 def _labels_from_json(obj, key):
@@ -337,10 +344,8 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
     cfg = FieldConfig(field=field, **cfg_kwargs)
     if kind == KIND_SUPEROP:
         check_size(n_in, n_out, 1, 1)
-        mat = matrix_from_json(
-            _need(obj, "matrix", list), field, (n_out**2, n_in**2), "matrix"
-        )
-        return Superoperator(n_in=n_in, n_out=n_out, mat=mat, cfg=cfg)
+        mat = matrix_from_json(_need(obj, "matrix", list), field, (n_out**2, n_in**2), "matrix")
+        return Superoperator(n_in=n_in, n_out=n_out, mat=_admit(cfg, mat, "matrix"), cfg=cfg)
 
     points_in = _labels_from_json(obj, "points_in")
     points_out = _labels_from_json(obj, "points_out")
@@ -361,11 +366,12 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
             )
         x2 = points_out.index(parts[0])
         x1 = points_in.index(parts[1])
-        blocks[x2, x1] = stack[i] if stack is not None else matrix_from_json(
-            rows, field, blocks.shape[2:], f"blocks[{key!r}]"
-        )
+        where = f"blocks[{key!r}]"
+        block = stack[i] if stack is not None else matrix_from_json(rows, field, blocks.shape[2:], where)
+        blocks[x2, x1] = _admit(cfg, block, where)
     return BigSuperoperator(
-        space_in=space_in, space_out=space_out, n_in=n_in, n_out=n_out, blocks=blocks, cfg=cfg
+        space_in=space_in, space_out=space_out, n_in=n_in, n_out=n_out,
+        blocks=_admit(cfg, blocks, "blocks"), cfg=cfg,
     )
 
 

@@ -2,14 +2,15 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bisep.cli import main
-from bisep.instancefile import MAX_ENTRIES, load_truth, save_instance
-from bisep import Superoperator, gen_conjugation
+from bisep.instancefile import MAX_ENTRIES, instance_to_json, load_truth, save_instance
+from bisep import Superoperator, gen_conjugation, gen_transpose
 from bisep.errors import DimensionMismatch
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -240,12 +241,31 @@ class TestSchemaFailures:
             assert time.perf_counter() - start < 1.0
             assert code == 1 and rep["status"] == "invalid_params"
             assert str(MAX_ENTRIES) in rep["error"]
-        # the basis images overflow, so the map misses its own ground truth
-        code, rep = run_cli(capsys, "gen", "superop", tmp_path / "x.json", "--n", 3,
-                            "--alpha", 0.5, 1e300)
+        # products of the basis images would overflow, so the map is refused
+        # before anything computes with it, and no numpy warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(capsys, "gen", "superop", tmp_path / "x.json", "--n", 3,
+                                "--alpha", 0.5, 1e300)
         assert code == 1 and rep["status"] == "invalid_params"
-        assert "ground truth" in rep["error"]
+        assert "too large" in rep["error"]
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    @pytest.mark.parametrize("kind", ["transpose", "conjugation"])
+    def test_map_too_large_to_multiply_exits_1(self, tmp_path, capsys, command, kind):
+        # finite entries whose products overflow: once decided by accident
+        # (the transpose as biseparating), now refused without a warning
+        T = gen_transpose(3) if kind == "transpose" else gen_conjugation(3, seed=1).map
+        obj = instance_to_json(T)
+        obj["matrix"] = [[v * 1e160 for v in row] for row in obj["matrix"]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(capsys, command, path)
+        assert code == 1 and rep["status"] == "schema_error"
+        assert rep["field"] == "matrix" and "too large" in rep["error"]
 
 
 def test_every_failure_prints_one_report(tmp_path, capsys, monkeypatch, report_schema):

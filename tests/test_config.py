@@ -36,3 +36,13 @@ class TestFieldConfig:
             cfg.asarray([[1.0, np.inf]])
         with pytest.raises(ValueError):
             FieldConfig(field="complex").asarray([[1.0, complex(np.nan, 0)]])
+
+    def test_asarray_rejects_arrays_too_large_to_multiply(self):
+        # admitted iff twice the squared Frobenius norm is a finite double
+        cfg = FieldConfig()
+        assert cfg.asarray([[9e153]])[0, 0] == 9e153
+        for a in ([[1e154]], [[9e153, 9e153]], [[1e160, 0.0]]):
+            with pytest.raises(ValueError, match="too large"):
+                cfg.asarray(a)
+        with pytest.raises(ValueError, match="too large"):
+            FieldConfig(field="complex").asarray([[complex(9e153, 9e153)]])

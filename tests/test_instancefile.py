@@ -300,6 +300,34 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="non-finite"):
             instance_from_json(obj)
 
+    def test_map_too_large_to_multiply(self):
+        # finite entries, but twice the squared norm overflows a double
+        obj = _valid_superop_obj()
+        obj["matrix"] = [[v * 1e160 for v in row] for row in obj["matrix"]]
+        with pytest.raises(SchemaError, match="too large") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "matrix"
+
+    def test_block_too_large_to_multiply(self):
+        obj = _valid_big_obj()
+        key = list(obj["blocks"])[-1]
+        obj["blocks"][key] = [[v * 1e160 for v in row] for row in obj["blocks"][key]]
+        with pytest.raises(SchemaError, match="too large") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == f"blocks[{key!r}]"
+
+    def test_blocks_too_large_together(self):
+        # each block alone is admitted, all of them together are not
+        obj = _valid_big_obj()
+        assert len(obj["blocks"]) == 2
+        for key, rows in obj["blocks"].items():
+            block = np.array(rows)
+            block *= math.sqrt(0.375 * np.finfo(np.float64).max) / np.linalg.norm(block)
+            obj["blocks"][key] = block.tolist()
+        with pytest.raises(SchemaError, match="too large") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "blocks"
+
     def test_huge_integer_real_entry(self):
         obj = _valid_superop_obj()
         obj["matrix"][0][1] = 10**400

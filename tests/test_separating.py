@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ class TestScalarIdentityTest:
 
 
 class TestExactChecker:
+    def test_memory_stays_below_the_full_product_tensor(self):
+        # one row slice at a time: the n^4 m^2 tensor of all basis products is never built
+        n = 12
+        for T in (gen_conjugation(n, seed=2).map, perturb(gen_conjugation(n, seed=2).map, 1e-3, seed=2)):
+            tracemalloc.start()
+            try:
+                is_separating_exact(T)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n**6 * np.dtype(np.float64).itemsize
+
     def test_conjugations_are_separating(self):
         rng = np.random.default_rng(0)
         for n in range(2, 7):
@@ -240,13 +253,14 @@ def test_exactness_lemma_cross_validation():
         )
 
 
-def _reference_counterexample(T):
+def _reference_counterexample(T, scale=None):
     """Plain-loop reference for the exact checker's certificate order.
 
     Walks (i, l, p, q, a, b) lexicographically, trying the off-diagonal
     candidate before the diagonal one on ties, and returns the first
     certificate that self-verifies as (A, B, violation, candidates tried),
-    or None when none does.
+    or None when none does.  ``scale`` overrides the violation scale, as
+    in ``is_separating_exact``.
     """
     n, m, dt = T.n_in, T.n_out, T.cfg.dtype
 
@@ -256,7 +270,9 @@ def _reference_counterexample(T):
         return E
 
     im = [[apply(T, unit(i, a)) for a in range(n)] for i in range(n)]
-    thr = T.cfg.threshold(image_scale(basis_image_array(T.mat)) ** 2)
+    if scale is None:
+        scale = image_scale(basis_image_array(T.mat)) ** 2
+    thr = T.cfg.threshold(scale)
 
     def entry(i, a, b, l, p, q):  # [T(E_ia) T(E_bl)]_pq
         return sum(im[i][a][p, r] * im[b][l][r, q] for r in range(m))
@@ -277,9 +293,22 @@ def _reference_counterexample(T):
     return None
 
 
-def _assert_matches_reference(T):
-    verdict = is_separating_exact(T)
-    ref = _reference_counterexample(T)
+def _rows_with_violations(T):
+    """Rows i with some (l, p, q) whose M_ab = [T(E_ia) T(E_bl)]_pq is not scalar."""
+    n, m = T.n_in, T.n_out
+    im = basis_image_array(T.mat)
+    scale = image_scale(im) ** 2
+    rows = set()
+    for i, l, p, q in itertools.product(range(n), range(n), range(m), range(m)):
+        M = np.array([[(im[i, a] @ im[b, l])[p, q] for b in range(n)] for a in range(n)])
+        if not scalar_identity_test(M, T.cfg, scale)[0]:
+            rows.add(i)
+    return rows
+
+
+def _assert_matches_reference(T, scale=None):
+    verdict = is_separating_exact(T, scale=scale)
+    ref = _reference_counterexample(T, scale)
     if ref is None:
         assert verdict.status == SEPARATING
         return 0
@@ -323,3 +352,31 @@ class TestCertificateOrder:
     def test_walk_past_seven_candidates(self):
         T = perturb(gen_conjugation(3, seed=53).map, 3e-8, seed=53)
         assert _assert_matches_reference(T) == 7
+
+    def test_walk_crosses_a_row_slice(self):
+        # the first violation is in row 0, the first certificate that verifies in row 1
+        T = perturb(gen_conjugation(2, seed=47).map, 1e-8, seed=47)
+        assert _rows_with_violations(T) == {0, 1}
+        assert _assert_matches_reference(T) > 1
+        A = is_separating_exact(T).counterexample.A
+        assert np.flatnonzero(A.any(axis=1)).tolist() == [1]
+
+    def test_violations_in_every_slice_but_no_certificate(self):
+        T = perturb(gen_conjugation(2, seed=83).map, 1e-8, seed=83)
+        assert _rows_with_violations(T) == {0, 1}
+        assert _assert_matches_reference(T) == 0
+        assert is_separating_exact(T).status == SEPARATING
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_scale_override(self, factor, field):
+        cfg = FieldConfig(field=field)
+        flipped = 0
+        for n in (2, 3):
+            for eps in (1e-9, 3e-9, 1e-8, 3e-8):
+                for seed in range(20):
+                    T = perturb(gen_conjugation(n, seed=seed, cfg=cfg).map, eps, seed=seed)
+                    scale = factor * image_scale(basis_image_array(T.mat)) ** 2
+                    _assert_matches_reference(T, scale)
+                    flipped += is_separating_exact(T, scale=scale).status != is_separating_exact(T).status
+        assert flipped  # the override reaches the decision

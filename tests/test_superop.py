@@ -174,6 +174,13 @@ class TestConjugation:
         rhs = conjugation_superop(-1.0, S1 @ S2, CFG)
         np.testing.assert_allclose(lhs.mat, rhs.mat, atol=1e-10)
 
+    def test_rejects_maps_too_large_to_multiply(self):
+        # finite entries, but an entry of T(E_ia) T(E_bl) would overflow
+        with pytest.raises(ValueError, match="too large"):
+            Superoperator(n_in=2, n_out=2, mat=1e160 * np.eye(4))
+        with pytest.raises(ValueError, match="too large"):
+            conjugation_superop(1e160, np.eye(2), CFG)
+
     def test_rejects_zero_alpha_and_singular_s(self):
         with pytest.raises(ValueError):
             conjugation_superop(0.0, np.eye(2), CFG)
