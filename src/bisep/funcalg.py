@@ -319,12 +319,14 @@ def is_separating_fn(T: BigSuperoperator) -> Verdict:
     Cross-point conditions first (ordered input pairs, then output point,
     in label order), then the per-block scalar-identity reduction; the
     first violation is returned as a function-pair counterexample with
-    its point labels."""
+    its point labels.  Pairs of blocks whose masses multiply to less than
+    half the threshold, and zero blocks, cannot violate and are skipped."""
     cfg = T.cfg
     k2, k1 = T.space_out.k, T.space_in.k
     imgs = basis_image_array(T.blocks)
     scale = image_scale(imgs) ** 2
     thr = cfg.threshold(scale)
+    mass = _block_mass(T)
 
     def lifted(x, y, A, B, x2):
         F1 = delta_fn(T.space_in, T.space_in.labels[x], A, cfg)
@@ -346,6 +348,10 @@ def is_separating_fn(T: BigSuperoperator) -> Verdict:
             if x == y:
                 continue
             for x2 in range(k2):
+                # an entry of a product is at most the product of the Frobenius
+                # norms; the factor 2 covers the rounding of both sides
+                if 2 * mass[x2, x] * mass[x2, y] <= thr:
+                    continue
                 prods = np.einsum("ijpr,klrq->ijklpq", imgs[x2, x], imgs[x2, y])
                 bad = np.abs(prods) > thr
                 if bad.any():
@@ -357,6 +363,8 @@ def is_separating_fn(T: BigSuperoperator) -> Verdict:
     # same-point: each block must be separating on its own, at the global scale
     for x in range(k1):
         for x2 in range(k2):
+            if not T.blocks[x2, x].any():  # a zero block is separating
+                continue
             verdict = is_separating_exact(T.block(x2, x), scale=scale)
             if not verdict:
                 ce = verdict.counterexample

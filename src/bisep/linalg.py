@@ -100,7 +100,8 @@ def numeric_rank(A, cfg: FieldConfig = DEFAULT):
 def invert(A, cfg: FieldConfig = DEFAULT):
     """Invert a square matrix, returning (inverse, condition estimate).
 
-    Raises SingularMatrix when the numeric rank is deficient.
+    Raises SingularMatrix when the numeric rank is deficient, or when the
+    inverse fails the admission rule of :meth:`FieldConfig.asarray`.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -112,6 +113,10 @@ def invert(A, cfg: FieldConfig = DEFAULT):
         raise SingularMatrix(f"numeric rank {rank} < {n}")
     cond = float(s[0] / s[-1])
     inv = np.linalg.solve(A, np.eye(n, dtype=A.dtype))
+    try:
+        cfg.asarray(inv)
+    except ValueError as exc:
+        raise SingularMatrix(f"inverse too large to represent: {exc}") from exc
     return inv, cond
 
 

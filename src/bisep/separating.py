@@ -39,6 +39,56 @@ Because the order starts with i, the checker walks one row at a time: it
 builds the slice of products for one i (O(n^3 m^2) memory), tries that
 slice's violations in order, and stops at the first certificate that
 verifies.  The time is at most O(n^4 m^3).
+
+Fast accept.  M_n is zero product determined (Bresar, Grasic, Sanchez
+Ortega, Linear Algebra Appl. 2009; Chebotar, Ke, Lee, Wong, Studia Math.
+2003), so T is separating iff T(x) T(y) = T(xy) T(1).  Before the walk, a
+one-sided test certifies that every mask bit the walk would compute is
+clear; it then returns SEPARATING, which is what the walk returns.  In
+every other case the walk runs unchanged, so each NOT_SEPARATING verdict
+and certificate is the walk's own.  Write im_ia = T(E_ia) and
+N = sum_i im_ii = T(1); if N is singular by the rank rule the test gives
+up.  Otherwise let X be a computed inverse of N and h_ia = fl(im_ia X),
+and measure, with about 5 n^2 products of m x m matrices:
+
+* c_bl  = N im_bl - im_bl N                (commutation with N),
+* e1_ab = h_0a h_b0 - delta_ab h_00        (matrix-unit products),
+* e2_il = h_il - h_i0 h_0l                 (factorisation through row 0),
+* R     = X N - I                          (quality of the inverse).
+
+For any N, X and h these identities are exact (rho_ia = im_ia - h_ia N):
+
+  h_ia h_bl   = delta_ab h_il + F_iabl,
+  F_iabl      = h_i0 e1_ab h_0l + h_i0 h_0a e2_bl + e2_ia h_bl
+                - delta_ab (e2_il + e2_i0 h_0l),
+  im_ia im_bl = delta_ab h_il N^2 + E_iabl,
+  E_iabl      = F_iabl N^2 + h_ia rho_bl N + h_ia c_bl + rho_ia im_bl.
+
+(Expand im_ia = h_ia N + rho_ia, then N im_bl = im_bl N + c_bl, then
+im_bl = h_bl N + rho_bl.)  With Frobenius norms, ||N||_2 the spectral
+norm, M = max ||im||, H = max ||h|| and the maxima of the residuals,
+
+  ||F|| <= H^2 ||e1|| + (H + 1)^2 ||e2||,
+  ||E|| <= ||F|| ||N||_2^2 + H rho ||N||_2 + H ||c|| + rho M = beta,
+  rho   <= M ||R|| + g M ||X|| ||N||_2.
+
+Every residual is taken as its computed norm plus the rounding of its
+own products: with g = (m + 3) eps, |fl(AB) - AB| <= g |A||B| over both
+fields (sqrt(2) gamma_{m+2} for complex arithmetic), and ||A||B||| <=
+||A|| ||B||; so ||R|| gains g ||X|| ||N||, ||c|| gains 2 g ||N|| M, and
+each ||e|| gains g H^2.  The term g M ||X|| ||N||_2 in rho is the rounding
+of h itself.
+
+An entry of im_ia im_bl off the diagonal (a != b) is then at most beta,
+and a difference of two diagonal ones at most 2 beta (both are within
+beta of the common h_il N^2).  The walk's einsum adds at most g M^2 to
+each entry, so every mask bit is clear when 2 (beta + g M^2) < thr.  The
+norms and the bound are evaluated in floating point too; each carries a
+relative error below m^2 eps and the bound multiplies at most five of
+them, so the test asks 2 (beta + g M^2) (1 + 8 (m^2 + 4) eps) < thr.
+The first residual, h_00 h_00 - h_00, is measured alone first: one
+product that already rejects a perturbed map, since beta >=
+||h_00||^2 ||e1_00|| ||N||_2^2.  On accept the time is O(n^2 m^3).
 """
 
 from dataclasses import dataclass
@@ -47,7 +97,7 @@ import numpy as np
 
 from .config import FieldConfig
 from .errors import InfeasibleRanks, SingularMatrix
-from .linalg import frob, gaussian
+from .linalg import _rank, frob, gaussian
 from .superop import Superoperator, apply, basis_image_array, image_scale, inverse
 
 SEPARATING = "separating"
@@ -129,12 +179,46 @@ def _certificate(T, i, l, a, b, kind):
     return A, B
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan bounds reject
+def _certified_separating(T, im, thr):
+    """True when the zero-product identity bounds every basis-product entry the
+    walk masks below ``thr`` (the fast accept of the module docstring); False
+    decides nothing."""
+    m = T.n_out
+    ar = np.arange(T.n_in)
+    N = im[ar, ar].sum(axis=0)  # T(1)
+    s = np.linalg.svd(N, compute_uv=False)
+    if _rank(s, T.cfg) < m or not T.n_in:
+        return False
+    eps = np.finfo(np.float64).eps
+    g = (m + 3) * eps
+    N2 = s.max(initial=0.0)
+    X = np.linalg.solve(N, np.eye(m, dtype=N.dtype))
+    # staged: h(E_11) must be idempotent; beta >= ||h_00||^2 ||e1_00|| ||N||_2^2
+    h00 = im[0, 0] @ X
+    if 2 * frob(h00) ** 2 * frob(h00 @ h00 - h00) * N2**2 >= thr:
+        return False
+    h = im @ X
+    c = N @ im - im @ N
+    e1 = h[0][:, None] @ h[None, :, 0]  # e1[a, b] = h_0a h_b0 - delta_ab h_00
+    e1[ar, ar] -= h[0, 0]
+    e2 = h - h[:, :1] @ h[:1, :]  # e2[i, l] = h_il - h_i0 h_0l
+    M, H, XF, NF = image_scale(im), image_scale(h), frob(X), frob(N)
+    rho = M * (frob(X @ N - np.eye(m)) + g * XF * NF) + g * M * XF * N2
+    F = H**2 * (image_scale(e1) + g * H**2) + (H + 1) ** 2 * (image_scale(e2) + g * H**2)
+    beta = F * N2**2 + H * rho * N2 + H * (image_scale(c) + 2 * g * NF * M) + rho * M
+    return 2 * (beta + g * M**2) * (1 + 8 * (m * m + 4) * eps) < thr
+
+
 def is_separating_exact(T: Superoperator, *, scale: float | None = None) -> Verdict:
     """Exact separating check via the scalar-identity reduction (see module docstring).
 
     ``scale`` overrides the violation scale (default: the squared max basis
     image norm of T itself); the function-algebra checks pass a global one.
-    The walk builds one row slice of basis products at a time, O(n^3 m^2)
+    First the fast accept: when T(1) is invertible and the residuals of
+    T(x) T(y) = T(xy) T(1) on matrix units bound every basis-product entry
+    below the threshold, T is separating, in O(n^2 m^3) time.  Otherwise the
+    walk builds one row slice of basis products at a time, O(n^3 m^2)
     memory, and stops at the first certificate that verifies; the time is at
     most O(n^4 m^3) after precomputing basis images.
     """
@@ -142,6 +226,8 @@ def is_separating_exact(T: Superoperator, *, scale: float | None = None) -> Verd
     if scale is None:
         scale = image_scale(im) ** 2
     thr = T.cfg.threshold(scale)
+    if _certified_separating(T, im, thr):
+        return Verdict(SEPARATING)
     for i in range(T.n_in):
         # P[l, p, q, a, b] = [T(E_ia) @ T(E_bl)]_{pq}
         P = np.einsum("apr,blrq->lpqab", im[i], im)

@@ -167,6 +167,26 @@ class TestCheckOutcomes:
         assert code == 3 and rep["status"] == "not_invertible"
         report_schema(rep)
 
+    @pytest.mark.parametrize("kind", ["superop", "big_superop", "scaled_identity"])
+    def test_inverse_too_large_to_admit_exits_3(self, tmp_path, capsys, report_schema, kind):
+        # full rank at these tolerances, but the inverse fails the admission rule
+        from bisep import BigSuperoperator, DiscreteSpace
+
+        if kind == "superop":
+            T = Superoperator(n_in=2, n_out=2, mat=np.diag([1.0, 1e-200, 1.0, 1.0]))
+        elif kind == "scaled_identity":  # separating, so only the inverse is refused
+            T = Superoperator(n_in=2, n_out=2, mat=1e-200 * np.eye(4))
+        else:
+            T = BigSuperoperator(space_in=DiscreteSpace(("x",)), space_out=DiscreteSpace(("y",)),
+                                 n_in=2, n_out=2, blocks=1e-200 * np.eye(4)[None, None])
+        inst = tmp_path / "tiny.json"
+        save_instance(inst, T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(capsys, "check", inst, "--tol", "1e-300", "--tol-abs", "1e-300")
+        assert code == 3 and rep["status"] == "not_invertible"
+        report_schema(rep)
+
     def test_sampled_flag(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         run_cli(capsys, "gen", "superop", inst, "--n", 2, "--seed", 4)

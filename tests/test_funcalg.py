@@ -228,6 +228,103 @@ class TestSeparatingFn:
         assert is_separating_fn(inverse_fn(b.map)).status == "separating"
 
 
+def _unpruned_separating_fn(T):
+    """Reference for is_separating_fn without its skips: every cross-point
+    triple and every same-point block is checked, in the same order."""
+    cfg = T.cfg
+    imgs = basis_image_array(T.blocks)
+    scale = image_scale(imgs) ** 2
+    thr = cfg.threshold(scale)
+
+    def unit(i, j):
+        E = np.zeros((T.n_in, T.n_in), dtype=cfg.dtype)
+        E[i, j] = 1
+        return E
+
+    def lifted(x, y, A, B, x2):
+        F1 = delta_fn(T.space_in, T.space_in.labels[x], A, cfg)
+        F2 = delta_fn(T.space_in, T.space_in.labels[y], B, cfg)
+        out = multiply(apply_fn(T, F1), apply_fn(T, F2))
+        return (F1.values, F2.values, T.space_out.labels[x2],
+                float(np.linalg.norm(multiply(F1, F2).values, axis=(1, 2)).max()),
+                float(np.linalg.norm(out.values, axis=(1, 2)).max()))
+
+    k2, k1 = T.space_out.k, T.space_in.k
+    for x in range(k1):
+        for y in range(k1):
+            for x2 in range(k2 if x != y else 0):
+                bad = np.abs(np.einsum("ijpr,klrq->ijklpq", imgs[x2, x], imgs[x2, y])) > thr
+                if bad.any():
+                    i, j, k, l, _p, _q = np.argwhere(bad)[0]
+                    return lifted(x, y, unit(i, j), unit(k, l), x2)
+    for x in range(k1):
+        for x2 in range(k2):
+            verdict = is_separating_exact(T.block(x2, x), scale=scale)
+            if not verdict:
+                return lifted(x, x, verdict.counterexample.A, verdict.counterexample.B, x2)
+    return None
+
+
+def _with_blocks(T, blocks):
+    return BigSuperoperator(space_in=T.space_in, space_out=T.space_out, n_in=T.n_in,
+                            n_out=T.n_out, blocks=blocks, cfg=T.cfg)
+
+
+class TestSeparatingFnSkips:
+    """The skipped triples and blocks never hold a violation: the verdict and the
+    certificate are bit-equal to the unpruned reference."""
+
+    @staticmethod
+    def _maps(field):
+        cfg = FieldConfig(field=field)
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            k, n = 2 + seed % 3, 1 + seed % 3
+            b = gen_pointwise(k, n, seed=seed, cfg=cfg).map
+            yield b
+            yield inverse_fn(b)
+            yield gen_point_mixing(k, n, seed=seed, cfg=cfg)
+            for eps in (1e-9, 1e-6, 1e-3):
+                yield perturb(b, eps, seed=seed)
+            # faint off-phi blocks around the skip boundary, and one zeroed phi-block
+            live = np.linalg.norm(b.blocks, axis=(2, 3)) > 0
+            for faint in (1e-13, 1e-11, 1e-10, 1e-9):
+                noise = rng.standard_normal(b.blocks.shape)
+                if cfg.is_complex:
+                    noise = noise + 1j * rng.standard_normal(b.blocks.shape)
+                yield _with_blocks(b, np.where(live[..., None, None], b.blocks, faint * noise))
+            blocks = b.blocks.copy()
+            blocks[0][live[0]] = 0
+            yield _with_blocks(b, blocks)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matches_unpruned_reference(self, field):
+        verdicts = set()
+        for T in self._maps(field):
+            ref = _unpruned_separating_fn(T)
+            verdict = is_separating_fn(T)
+            verdicts.add(verdict.status)
+            if ref is None:
+                assert verdict.status == "separating"
+                continue
+            ce = verdict.counterexample
+            assert verdict.status == "not_separating"
+            assert np.array_equal(ce.F1.values, ref[0]) and np.array_equal(ce.F2.values, ref[1])
+            assert (ce.point, ce.product_in_norm, ce.violation_norm) == ref[2:]
+        assert verdicts == {"separating", "not_separating"}
+
+    def test_zero_blocks_skip_the_block_checker(self, monkeypatch):
+        import bisep.funcalg
+
+        calls = []
+        checker = bisep.funcalg.is_separating_exact
+        monkeypatch.setattr(bisep.funcalg, "is_separating_exact",
+                            lambda *a, **kw: calls.append(1) or checker(*a, **kw))
+        b = gen_pointwise(5, 2, seed=1).map
+        assert is_separating_fn(b).status == "separating"
+        assert len(calls) == 5  # one nonzero block per input point, not 25
+
+
 class TestBiseparatingFn:
     @pytest.mark.parametrize(
         "k, n, field",

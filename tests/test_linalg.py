@@ -171,6 +171,15 @@ class TestInvert:
         with pytest.raises(SingularMatrix):
             invert(np.array([[1.0, 2.0], [2.0, 4.0]]), CFG)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_inverse_too_large_to_admit_is_singular(self, field):
+        # full rank at these tolerances, but the inverse fails the admission rule
+        cfg = FieldConfig(field=field, tol_rel=1e-300, tol_abs=1e-300)
+        with pytest.raises(SingularMatrix, match="inverse too large to represent"):
+            invert(np.diag([1.0, 1e-200]).astype(cfg.dtype), cfg)
+        inv, _ = invert(np.diag([1.0, 1e-150]).astype(cfg.dtype), cfg)
+        assert inv[1, 1] == 1e150
+
 
 class TestKernelBasis:
     def test_identity_trivial_kernel(self):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisep import (
     BISEPARATING,
@@ -22,9 +24,11 @@ from bisep import (
     random_zero_product_pair,
     scalar_identity_test,
 )
-from bisep.errors import InfeasibleRanks
+from bisep import separating
+from bisep.errors import InfeasibleRanks, SingularMatrix
 from bisep.linalg import frob, numeric_rank
-from bisep.superop import apply, basis_image_array, image_scale
+from bisep.superop import apply, basis_image_array, compose, from_basis_images, image_scale, inverse
+from test_corpus import CORPUS, build
 
 CFG = FieldConfig()
 
@@ -293,11 +297,12 @@ def _reference_counterexample(T, scale=None):
     return None
 
 
-def _rows_with_violations(T):
+def _rows_with_violations(T, scale=None):
     """Rows i with some (l, p, q) whose M_ab = [T(E_ia) T(E_bl)]_pq is not scalar."""
     n, m = T.n_in, T.n_out
     im = basis_image_array(T.mat)
-    scale = image_scale(im) ** 2
+    if scale is None:
+        scale = image_scale(im) ** 2
     rows = set()
     for i, l, p, q in itertools.product(range(n), range(n), range(m), range(m)):
         M = np.array([[(im[i, a] @ im[b, l])[p, q] for b in range(n)] for a in range(n)])
@@ -380,3 +385,96 @@ class TestCertificateOrder:
                     _assert_matches_reference(T, scale)
                     flipped += is_separating_exact(T, scale=scale).status != is_separating_exact(T).status
         assert flipped  # the override reaches the decision
+
+
+def _fast_accepts(T, scale=None):
+    im = basis_image_array(T.mat)
+    if scale is None:
+        scale = image_scale(im) ** 2
+    return separating._certified_separating(T, im, T.cfg.threshold(scale))
+
+
+def _assert_sound_if_accepted(T, scale=None):
+    """A fast accept leaves no violation for the mask scan and no certificate."""
+    if not _fast_accepts(T, scale):
+        return False
+    assert _rows_with_violations(T, scale) == set()
+    assert _reference_counterexample(T, scale) is None
+    return True
+
+
+def _block_diagonal(T, c):
+    """A -> diag(T(A), c T(A)): separating for every c; T(1) is singular when c = 0."""
+    m = T.n_out
+    images = []
+    for image in basis_image_array(T.mat).transpose(1, 0, 2, 3).reshape(-1, m, m):
+        Z = np.zeros((2 * m, 2 * m), dtype=T.cfg.dtype)
+        Z[:m, :m], Z[m:, m:] = image, c * image
+        images.append(Z)
+    return from_basis_images(images, T.cfg)
+
+
+class TestFastAccept:
+    @settings(max_examples=120, deadline=None)
+    @given(field=st.sampled_from(["real", "complex"]), n=st.integers(1, 5),
+           exponent=st.floats(-12, -7), seed=st.integers(0, 10**6),
+           factor=st.sampled_from([0.5, 1.0, 2.0]), inverted=st.booleans())
+    def test_accepts_only_what_the_walk_accepts(self, field, n, exponent, seed, factor, inverted):
+        T = perturb(gen_conjugation(n, seed=seed, cfg=FieldConfig(field=field)).map,
+                    10.0**exponent, seed=seed)
+        if inverted:
+            T = inverse(T)
+        scale = factor * image_scale(basis_image_array(T.mat)) ** 2
+        _assert_sound_if_accepted(T, scale)
+
+    def test_corpus_maps(self):
+        accepted = 0
+        for case in CORPUS["cases"]:
+            T = build(case["recipe"])
+            if not isinstance(T, Superoperator):
+                continue
+            maps = [T]
+            try:
+                maps.append(inverse(T))
+            except SingularMatrix:
+                pass
+            accepted += sum(_assert_sound_if_accepted(U) for U in maps)
+        # 84 of the 110 maps and inverses of the 55 biseparating cases accept (80
+        # leaves room for another BLAS's rounding); the rest have cond(S) >= 1e5
+        # or sit in the tolerance sliver
+        assert accepted >= 80
+
+    def test_maps_without_matrix_units(self):
+        for n_in, n_out in ((0, 0), (0, 2), (2, 0)):
+            T = Superoperator(n_in=n_in, n_out=n_out, mat=np.zeros((n_out**2, n_in**2)))
+            assert is_separating_exact(T).status == SEPARATING
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_conjugations_never_enter_the_walk(self, field, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(separating, "_scalar_violations", walk)
+        cfg = FieldConfig(field=field)
+        for n in range(2, 9):
+            T = gen_conjugation(n, seed=n, cfg=cfg).map
+            for U in (T, inverse(T), _block_diagonal(T, 2.0)):
+                assert is_separating_exact(U).status == SEPARATING
+            assert is_biseparating(T).status == BISEPARATING
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_singular_identity_image_and_transposes_take_the_walk(self, field, monkeypatch):
+        cfg = FieldConfig(field=field)
+        walks = []
+        masks = separating._scalar_violations
+        monkeypatch.setattr(separating, "_scalar_violations",
+                            lambda *args: walks.append(1) or masks(*args))
+        for n in (2, 3):
+            T = gen_conjugation(n, seed=n, cfg=cfg).map
+            zero = Superoperator(n_in=n, n_out=n, mat=np.zeros((n * n, n * n)), cfg=cfg)
+            for U in (_block_diagonal(T, 0.0), zero, gen_transpose(n, cfg),
+                      compose(gen_transpose(n, cfg), T)):
+                assert not _fast_accepts(U)
+                walks.clear()
+                _assert_matches_reference(U)
+                assert walks
