@@ -107,6 +107,8 @@ def invert(A, cfg: FieldConfig = DEFAULT):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"cannot invert non-square shape {A.shape}")
     n = A.shape[0]
+    if not n:
+        return np.zeros_like(A), 1.0
     s = np.linalg.svd(A, compute_uv=False)
     rank = _rank(s, cfg)
     if rank < n:

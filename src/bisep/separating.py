@@ -35,10 +35,11 @@ certificates always do.  In the boundary sliver where violations exist
 but no certificate self-verifies (possible only when every M is within
 3x tolerance of a scalar matrix), the map is declared separating.
 
-Because the order starts with i, the checker walks one row at a time: it
-builds the slice of products for one i (O(n^3 m^2) memory), tries that
-slice's violations in order, and stops at the first certificate that
-verifies.  The time is at most O(n^4 m^3).
+Because the order starts with (i, l), the checker walks one (i, l) block
+at a time: it builds the n^2 m^2 products [T(E_ia) T(E_bl)]_{pq} of one
+block (O(n^2 m^2) memory), tries that block's violations in order, and
+stops at the first certificate that verifies.  The time is O(n^2 m^3)
+when the first block holds the certificate, and at most O(n^4 m^3).
 
 Fast accept.  M_n is zero product determined (Bresar, Grasic, Sanchez
 Ortega, Linear Algebra Appl. 2009; Chebotar, Ke, Lee, Wong, Studia Math.
@@ -88,7 +89,10 @@ relative error below m^2 eps and the bound multiplies at most five of
 them, so the test asks 2 (beta + g M^2) (1 + 8 (m^2 + 4) eps) < thr.
 The first residual, h_00 h_00 - h_00, is measured alone first: one
 product that already rejects a perturbed map, since beta >=
-||h_00||^2 ||e1_00|| ||N||_2^2.  On accept the time is O(n^2 m^3).
+||h_00||^2 ||e1_00|| ||N||_2^2.  For n >= 2 the residual e1_11 =
+h_01 h_10 - h_00 comes next, one more product that rejects a transpose
+(for which h_00 is idempotent), since beta >= max(||h_01||, ||h_10||)^2
+||e1_11|| ||N||_2^2.  On accept the time is O(n^2 m^3).
 """
 
 from dataclasses import dataclass
@@ -198,6 +202,11 @@ def _certified_separating(T, im, thr):
     h00 = im[0, 0] @ X
     if 2 * frob(h00) ** 2 * frob(h00 @ h00 - h00) * N2**2 >= thr:
         return False
+    # then h(E_12) h(E_21) = h(E_11); beta >= max(||h_01||, ||h_10||)^2 ||e1_11|| ||N||_2^2
+    if T.n_in >= 2:
+        h01, h10 = im[0, 1] @ X, im[1, 0] @ X
+        if 2 * max(frob(h01), frob(h10)) ** 2 * frob(h01 @ h10 - h00) * N2**2 >= thr:
+            return False
     h = im @ X
     c = N @ im - im @ N
     e1 = h[0][:, None] @ h[None, :, 0]  # e1[a, b] = h_0a h_b0 - delta_ab h_00
@@ -218,9 +227,9 @@ def is_separating_exact(T: Superoperator, *, scale: float | None = None) -> Verd
     First the fast accept: when T(1) is invertible and the residuals of
     T(x) T(y) = T(xy) T(1) on matrix units bound every basis-product entry
     below the threshold, T is separating, in O(n^2 m^3) time.  Otherwise the
-    walk builds one row slice of basis products at a time, O(n^3 m^2)
-    memory, and stops at the first certificate that verifies; the time is at
-    most O(n^4 m^3) after precomputing basis images.
+    walk builds one (i, l) block of basis products at a time, O(n^2 m^2)
+    memory, and stops at the first certificate that verifies; the time is
+    O(n^2 m^3) when the first block holds it, and at most O(n^4 m^3).
     """
     im = basis_image_array(T.mat)  # im[i, a] = T(E_ia)
     if scale is None:
@@ -228,14 +237,15 @@ def is_separating_exact(T: Superoperator, *, scale: float | None = None) -> Verd
     thr = T.cfg.threshold(scale)
     if _certified_separating(T, im, thr):
         return Verdict(SEPARATING)
-    for i in range(T.n_in):
-        # P[l, p, q, a, b] = [T(E_ia) @ T(E_bl)]_{pq}
-        P = np.einsum("apr,blrq->lpqab", im[i], im)
-        # C order over (l, p, q, a, b, kind) is the lexicographic order of the
-        # slice's violations, off-diagonal (kind 0) before diagonal (kind 1) on ties
+    for i, l in np.ndindex(T.n_in, T.n_in):
+        # P[p, q, a, b] = [T(E_ia) @ T(E_bl)]_{pq}; einsum fills the (a, b, p, q)
+        # layout faster than (p, q, a, b), with the same bits
+        P = np.einsum("apr,brq->abpq", im[i], im[:, l]).transpose(2, 3, 0, 1)
+        # C order over (p, q, a, b, kind) is the lexicographic order of the
+        # block's violations, off-diagonal (kind 0) before diagonal (kind 1) on ties
         flags = np.stack(_scalar_violations(P, thr), axis=-1)
         for hit in np.flatnonzero(flags):
-            l, _p, _q, a, b, kind = np.unravel_index(hit, flags.shape)
+            _p, _q, a, b, kind = np.unravel_index(hit, flags.shape)
             A, B = _certificate(T, i, l, a, b, kind)
             violation = frob(apply(T, A) @ apply(T, B))
             if violation > thr:

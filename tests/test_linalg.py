@@ -167,6 +167,10 @@ class TestInvert:
         resid = np.linalg.norm(A @ inv - np.eye(6))
         assert resid <= 1e-12 * cond
 
+    def test_empty(self):
+        inv, cond = invert(np.zeros((0, 0)), CFG)
+        assert inv.shape == (0, 0) and cond == 1.0
+
     def test_singular(self):
         with pytest.raises(SingularMatrix):
             invert(np.array([[1.0, 2.0], [2.0, 4.0]]), CFG)

@@ -478,3 +478,73 @@ class TestFastAccept:
                 walks.clear()
                 _assert_matches_reference(U)
                 assert walks
+
+
+def _record_blocks(monkeypatch):
+    """A list that collects the products P[p, q, a, b] of each block the walk masks."""
+    blocks = []
+    masks = separating._scalar_violations
+    monkeypatch.setattr(separating, "_scalar_violations",
+                        lambda P, thr: blocks.append(P.copy()) or masks(P, thr))
+    return blocks
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_blocks_are_bit_equal_to_row_slices(self, field, monkeypatch):
+        # a huge scale leaves no violation, so the walk visits every block
+        cfg = FieldConfig(field=field)
+        rng = np.random.default_rng(9)
+        monkeypatch.setattr(separating, "_certified_separating", lambda *args: False)
+        blocks = _record_blocks(monkeypatch)
+        for n_in, n_out in itertools.product(range(1, 7), repeat=2):
+            shape = (n_out**2, n_in**2)
+            mat = rng.standard_normal(shape)
+            if cfg.is_complex:
+                mat = mat + 1j * rng.standard_normal(shape)
+            T = Superoperator(n_in=n_in, n_out=n_out, mat=mat, cfg=cfg)
+            blocks.clear()
+            assert is_separating_exact(T, scale=1e300).status == SEPARATING
+            assert len(blocks) == n_in**2
+            im = basis_image_array(T.mat)
+            for (i, l), P in zip(np.ndindex(n_in, n_in), blocks):
+                assert np.array_equal(P, np.einsum("apr,blrq->lpqab", im[i], im)[l])
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_certificate_in_the_first_block_masks_one_block(self, field, monkeypatch):
+        T = perturb(gen_conjugation(6, seed=3, cfg=FieldConfig(field=field)).map, 1e-4, seed=3)
+        blocks = _record_blocks(monkeypatch)
+        verdict = is_separating_exact(T)
+        assert verdict.status == NOT_SEPARATING
+        ce = verdict.counterexample
+        assert np.flatnonzero(ce.A.any(axis=1)).tolist() == [0]  # i = 0
+        assert np.flatnonzero(ce.B.any(axis=0)).tolist() == [0]  # l = 0
+        assert len(blocks) == 1 and blocks[0].shape == (6, 6, 6, 6)
+
+    def test_memory_stays_below_one_row_slice(self):
+        n = 12
+        T = perturb(gen_conjugation(n, seed=2).map, 1e-4, seed=2)
+        tracemalloc.start()
+        try:
+            assert is_separating_exact(T).status == NOT_SEPARATING
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n**5 * np.dtype(np.float64).itemsize
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_fast_accept_rejects_transposes_before_the_batched_stage(self, field, monkeypatch):
+        def batched(*args):
+            raise AssertionError("the batched stage ran")
+
+        monkeypatch.setattr(separating, "image_scale", batched)
+        cfg = FieldConfig(field=field)
+        for n in range(2, 11):
+            T = gen_transpose(n, cfg)
+            im = basis_image_array(T.mat)
+            assert not separating._certified_separating(T, im, cfg.threshold(image_scale(im) ** 2))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_empty_map_is_biseparating(self, field):
+        T = Superoperator(n_in=0, n_out=0, mat=np.zeros((0, 0)), cfg=FieldConfig(field=field))
+        assert is_biseparating(T).status == BISEPARATING
