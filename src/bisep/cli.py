@@ -14,6 +14,7 @@ usage errors: a message on stderr, no report, exit 1.
 """
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -301,7 +302,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; it holds no command
+    functions, so ``main`` finds each ``cmd_*`` when it is called."""
     parser = _Parser(
         prog="bisep",
         description="Separating/biseparating checks and conjugation-form recovery "
@@ -321,12 +325,10 @@ def build_parser():
     p.add_argument("--sampled", type=positive_int, default=None, metavar="TRIALS",
                    help="additionally run the Monte-Carlo checker with this many trials")
     p.add_argument("--seed", type=int, default=0, help="seed for --sampled")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decompose", help="recover the conjugation/pointwise form of an instance")
     p.add_argument("path")
     add_tols(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("gen", help="generate an instance file (plus ground truth when one exists)")
     p.add_argument("kind", choices=[KIND_SUPEROP, KIND_BIG])
@@ -335,14 +337,13 @@ def build_parser():
     p.add_argument("--k", type=int, default=2, help="number of points for big_superop (default 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", choices=[REAL, COMPLEX], default=REAL)
-    p.add_argument("--alpha", type=float, nargs=2, default=list(DEFAULT_ALPHA_RANGE),
+    p.add_argument("--alpha", type=float, nargs=2, default=DEFAULT_ALPHA_RANGE,
                    metavar=("LO", "HI"), help="range for |alpha| (default 0.5 2.0)")
     p.add_argument("--cond-cap", type=float, default=DEFAULT_COND_CAP,
                    help="condition-number cap for S (default 100)")
     p.add_argument("--negative", default=None,
                    help="curated negative: 'transpose', 'mixing' or 'perturb:EPS'")
     add_tols(p)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("roundtrip", help="generate -> check -> decompose -> verify matrix")
     p.add_argument("--max-n", type=int, default=6)
@@ -350,7 +351,6 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=25)
     p.add_argument("--field", choices=[REAL, COMPLEX], default=REAL)
     add_tols(p)
-    p.set_defaults(func=cmd_roundtrip)
     return parser
 
 
@@ -358,8 +358,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     report = {"command": args.command, "tolerances": {"tol_rel": args.tol, "tol_abs": args.tol_abs}}
+    # looked up per call, so a cmd_* replaced on this module is the one that runs
+    command = {"check": cmd_check, "decompose": cmd_decompose, "gen": cmd_gen,
+               "roundtrip": cmd_roundtrip}[args.command]
     try:
-        code = args.func(args, report)
+        code = command(args, report)
     except (ValueError, OSError, BisepError) as exc:
         report["status"] = next(status for cls, status in _ERROR_STATUS if isinstance(exc, cls))
         report["error"] = str(exc)

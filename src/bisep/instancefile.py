@@ -58,14 +58,14 @@ def _fmt_float(x) -> str:
 
 
 def _nest_shape(values, leaves, containers):
-    """The shape of ``values`` when it nests non-empty lists (of types in
-    ``containers``) evenly down to entries whose types are all in ``leaves``;
-    None otherwise."""
+    """(shape, entries) when ``values`` nests non-empty lists (of types in
+    ``containers``) evenly down to entries whose types are all in ``leaves``,
+    with the entries flattened in C order; None otherwise."""
     shape, level = [len(values)], values
     while True:
         kinds = set(map(type, level))
         if kinds and kinds <= leaves:
-            return tuple(shape)
+            return tuple(shape), level
         widths = set(map(len, level)) if kinds <= containers else ()
         if len(widths) != 1 or 0 in widths:
             return None
@@ -124,8 +124,11 @@ def dumps(obj) -> str:
                 values, brackets = list(node.values()), "{}"
             else:
                 heads, values, brackets = [pad] * len(node), node, "[]"
-            if _nest_shape(values, {float}, {list, tuple}):
-                return _emit_block(np.array(values), depth, heads, brackets)
+            nest = _nest_shape(values, {float}, {list, tuple})
+            if nest:
+                shape, entries = nest
+                block = np.array(entries, dtype=np.float64).reshape(shape)
+                return _emit_block(block, depth, heads, brackets)
             items = [h + render(v, depth + 1) for h, v in zip(heads, values)]
             return brackets[0] + ",".join(items) + "\n" + "  " * depth + brackets[1]
         if isinstance(node, bool):
@@ -210,10 +213,11 @@ def _float_rows(rows, field, shape):
     check fails, so that the per-entry walk names the bad entry."""
     full = shape + ((2,) if field == COMPLEX else ())
     # int and float entries only: bools, strings and null go to the walk
-    if not isinstance(rows, list) or _nest_shape(rows, {float, int}, {list}) != full:
+    nest = _nest_shape(rows, {float, int}, {list}) if isinstance(rows, list) else None
+    if nest is None or nest[0] != full:
         return None
     try:
-        a = np.array(rows, dtype=np.float64)
+        a = np.array(nest[1], dtype=np.float64).reshape(full)
     except OverflowError:
         return None
     if not np.isfinite(a).all():
@@ -249,6 +253,29 @@ def _admit(cfg, a, where):
         return cfg.asarray(a)
     except ValueError as exc:
         raise SchemaError(f"field {where!r}: {exc}", field=where) from None
+
+
+def _admits(cfg, a):
+    """Whether ``cfg`` admits ``a``."""
+    try:
+        cfg.asarray(a)
+    except ValueError:
+        return False
+    return True
+
+
+def _block_index(raw_blocks, points_out, points_in):
+    """(out indices, in indices) of the 'out_point/in_point' keys of
+    ``raw_blocks``, in key order; None when a key names no known pair."""
+    out_at = {lab: x for x, lab in enumerate(points_out)}
+    in_at = {lab: x for x, lab in enumerate(points_in)}
+    # labels hold no '/', so a key with another '/' leaves no label on the right
+    pairs = [key.partition("/")[::2] for key in raw_blocks]
+    x2 = [out_at.get(lab_out) for lab_out, _ in pairs]
+    x1 = [in_at.get(lab_in) for _, lab_in in pairs]
+    if None in x2 or None in x1:
+        return None
+    return x2, x1
 
 
 def _labels_from_json(obj, key):
@@ -354,21 +381,24 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
     space_out = DiscreteSpace(points_out)
     raw_blocks = _need(obj, "blocks", dict)
     blocks = np.zeros((space_out.k, space_in.k, n_out**2, n_in**2), dtype=cfg.dtype)
-    # all blocks in one array build; if any entry is bad, each block is read
-    # on its own, so the first bad key or entry is the one named
+    # all blocks in one array build, admitted and placed at once; if any key,
+    # entry or block is bad, each block is read on its own, so the first bad
+    # key, entry or block is the one named
     stack = _float_rows(list(raw_blocks.values()), field, (len(raw_blocks),) + blocks.shape[2:])
-    for i, (key, rows) in enumerate(raw_blocks.items()):
-        parts = key.split("/")
-        if len(parts) != 2 or parts[0] not in points_out or parts[1] not in points_in:
-            raise SchemaError(
-                f"blocks key {key!r} must be 'out_point/in_point' with known labels",
-                field=f"blocks[{key!r}]",
-            )
-        x2 = points_out.index(parts[0])
-        x1 = points_in.index(parts[1])
-        where = f"blocks[{key!r}]"
-        block = stack[i] if stack is not None else matrix_from_json(rows, field, blocks.shape[2:], where)
-        blocks[x2, x1] = _admit(cfg, block, where)
+    index = _block_index(raw_blocks, points_out, points_in)
+    if stack is not None and index is not None and _admits(cfg, stack):
+        blocks[index] = stack
+    else:
+        for key, rows in raw_blocks.items():
+            parts = key.split("/")
+            if len(parts) != 2 or parts[0] not in points_out or parts[1] not in points_in:
+                raise SchemaError(
+                    f"blocks key {key!r} must be 'out_point/in_point' with known labels",
+                    field=f"blocks[{key!r}]",
+                )
+            where = f"blocks[{key!r}]"
+            block = matrix_from_json(rows, field, blocks.shape[2:], where)
+            blocks[points_out.index(parts[0]), points_in.index(parts[1])] = _admit(cfg, block, where)
     return BigSuperoperator(
         space_in=space_in, space_out=space_out, n_in=n_in, n_out=n_out,
         blocks=_admit(cfg, blocks, "blocks"), cfg=cfg,

@@ -140,16 +140,19 @@ class Verdict:
 
 
 def _scalar_violations(M, thr):
-    """Masks of what keeps each trailing n x n matrix of M from being scalar at
-    threshold thr: off-diagonal entries above it, and diagonal pairs a < b whose
-    difference is above it."""
+    """Flat indices, into M.shape + (2,) in C order, of what keeps each trailing
+    n x n matrix of M from being scalar at threshold thr: off-diagonal entries
+    above it (kind 0 on the last axis), and diagonal pairs a < b whose difference
+    is above it (kind 1)."""
     ar = np.arange(M.shape[-1])
     off = np.abs(M) > thr
-    off[..., ar, ar] = False
+    np.einsum("...ii->...i", off)[...] = False  # a writable view of the diagonals
     D = M[..., ar, ar]
     diag = np.abs(D[..., :, None] - D[..., None, :]) > thr
     diag &= ar[:, None] < ar[None, :]
-    return off, diag
+    if not (off.any() or diag.any()):
+        return np.empty(0, dtype=np.intp)  # a clear block costs no stack and no scan
+    return np.flatnonzero(np.stack((off, diag), axis=-1))
 
 
 def scalar_identity_test(M, cfg: FieldConfig, scale: float):
@@ -160,8 +163,7 @@ def scalar_identity_test(M, cfg: FieldConfig, scale: float):
     ``tol_abs + tol_rel * scale``.
     """
     M = np.asarray(M)
-    off, diag = _scalar_violations(M, cfg.threshold(scale))
-    return not (off.any() or diag.any()), np.diagonal(M).mean()
+    return not _scalar_violations(M, cfg.threshold(scale)).size, np.diagonal(M).mean()
 
 
 def _unit(n, i, dtype):
@@ -243,9 +245,8 @@ def is_separating_exact(T: Superoperator, *, scale: float | None = None) -> Verd
         P = np.einsum("apr,brq->abpq", im[i], im[:, l]).transpose(2, 3, 0, 1)
         # C order over (p, q, a, b, kind) is the lexicographic order of the
         # block's violations, off-diagonal (kind 0) before diagonal (kind 1) on ties
-        flags = np.stack(_scalar_violations(P, thr), axis=-1)
-        for hit in np.flatnonzero(flags):
-            _p, _q, a, b, kind = np.unravel_index(hit, flags.shape)
+        for hit in _scalar_violations(P, thr):
+            _p, _q, a, b, kind = np.unravel_index(hit, P.shape + (2,))
             A, B = _certificate(T, i, l, a, b, kind)
             violation = frob(apply(T, A) @ apply(T, B))
             if violation > thr:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bisep import cli
 from bisep.cli import main
 from bisep.instancefile import MAX_ENTRIES, instance_to_json, load_truth, save_instance
 from bisep import Superoperator, gen_conjugation, gen_transpose
@@ -386,6 +387,55 @@ def test_usage_errors_exit_1(capsys):
         assert exc.value.code == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and "error:" in err, argv
+
+
+class TestRepeatedMain:
+    """main parses with one parser per process; calls must not share state."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_sampled_check_then_plain_check(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "gen", "superop", inst, "--n", 2, "--seed", 4)
+        code, rep = run_cli(capsys, "check", inst, "--sampled", 50, "--seed", 3)
+        assert code == 0 and rep["sampled_status"] == "separating" and rep["seed"] == 3
+        code, rep = run_cli(capsys, "check", inst)
+        assert code == 0 and rep["status"] == "biseparating"
+        assert "sampled_status" not in rep and rep["seed"] == 0
+
+    def test_gen_defaults_after_explicit_flags(self, tmp_path, capsys):
+        first, second, plain = (tmp_path / f"{name}.json" for name in ("a", "b", "c"))
+        run_cli(capsys, "gen", "superop", first, "--n", 3, "--seed", 2, "--alpha", 3, 4,
+                "--field", "complex")
+        run_cli(capsys, "gen", "superop", second, "--n", 2)
+        code = main(["gen", "superop", str(plain)])
+        capsys.readouterr()
+        assert code == 0 and second.read_bytes() == plain.read_bytes()
+
+    def test_usage_error_then_valid_command(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "superop", str(inst), "--n", "two"])
+        assert exc.value.code == 1 and not inst.exists()
+        capsys.readouterr()
+        code, rep = run_cli(capsys, "gen", "superop", inst, "--n", 2)
+        assert code == 0 and rep["status"] == "ok"
+        code, rep = run_cli(capsys, "check", inst)
+        assert code == 0 and rep["status"] == "biseparating"
+
+    def test_command_replaced_after_the_first_call_runs(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "gen", "superop", inst, "--n", 2)
+        run_cli(capsys, "check", inst)
+
+        def replaced(args, report):
+            report["status"] = "replaced"
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_check", replaced)
+        code, rep = run_cli(capsys, "check", inst)
+        assert code == 0 and rep["status"] == "replaced"
 
 
 def test_reports_round_trip_through_json(tmp_path, capsys):

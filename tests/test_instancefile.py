@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bisep import FieldConfig, SchemaError, Superoperator, gen_conjugation, gen_pointwise
+from bisep import FieldConfig, SchemaError, Superoperator, gen_conjugation, gen_pointwise, perturb
 from bisep.instancefile import (
+    _float_rows,
     dumps,
     instance_from_json,
     instance_to_json,
@@ -470,6 +471,117 @@ class TestParseHazards:
         mat = instance_from_json(obj).mat
         expected = np.array([complex(-0.0, -0.0), complex(0, -0.0), complex(-0.0, 0), 1 + 2j])
         assert mat[:, 0].tobytes() == expected.tobytes()
+
+
+# entries that one array build must read as the float() of each: integers
+# beyond 2**53 and 2**64, signed zeros, subnormals and ordinary doubles
+_ENTRIES = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([0, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _nests(draw):
+    field = draw(st.sampled_from(["real", "complex"]))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    full = shape + ((2,) if field == "complex" else ())
+    flat = draw(st.lists(_ENTRIES, min_size=math.prod(full), max_size=math.prod(full)))
+    rows = np.array(flat, dtype=object).reshape(full).tolist()
+    return field, shape, rows
+
+
+class TestFloatRows:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_nests())
+    def test_bit_equal_to_one_array_build_of_the_nest(self, case):
+        field, shape, rows = case
+        reference = np.array(rows, dtype=np.float64)
+        if field == "complex":
+            reference = reference.view(np.complex128).reshape(shape)
+        got = _float_rows(rows, field, shape)
+        assert got.dtype == reference.dtype and got.shape == reference.shape
+        assert got.tobytes() == reference.tobytes()
+
+    def test_integer_beyond_a_double_goes_to_the_walk(self):
+        assert _float_rows([[1.0, 10**400]], "real", (1, 2)) is None
+
+
+def _dense_big_obj():
+    """A perturbed block map on 3 points: all 9 blocks are in the file."""
+    obj = instance_to_json(perturb(gen_pointwise(3, 2, seed=4).map, 1e-3, seed=4))
+    assert len(obj["blocks"]) == 9
+    return obj
+
+
+class TestBlockMapReader:
+    """The one-step reader names a bad block exactly as the per-block walk does."""
+
+    POSITIONS = pytest.mark.parametrize("position", [0, 4, 8])
+
+    @POSITIONS
+    def test_unknown_key(self, position):
+        obj = _dense_big_obj()
+        items = list(obj["blocks"].items())
+        items[position] = ("y1/zz", items[position][1])
+        obj["blocks"] = dict(items)
+        with pytest.raises(SchemaError, match="known labels") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "blocks['y1/zz']"
+
+    @POSITIONS
+    @pytest.mark.parametrize("key_form", ["y1", "y1/x1/x2", "/x1", "y1/"])
+    def test_malformed_key(self, position, key_form):
+        obj = _dense_big_obj()
+        items = list(obj["blocks"].items())
+        items[position] = (key_form, items[position][1])
+        obj["blocks"] = dict(items)
+        with pytest.raises(SchemaError, match="known labels") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == f"blocks[{key_form!r}]"
+
+    @POSITIONS
+    def test_bad_entry(self, position):
+        obj = _dense_big_obj()
+        key = list(obj["blocks"])[position]
+        obj["blocks"][key][2][1] = None
+        with pytest.raises(SchemaError, match="must be a number") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == f"blocks[{key!r}][2][1]"
+
+    @POSITIONS
+    def test_block_too_large(self, position):
+        obj = _dense_big_obj()
+        key = list(obj["blocks"])[position]
+        obj["blocks"][key] = [[v * 1e160 for v in row] for row in obj["blocks"][key]]
+        with pytest.raises(SchemaError, match="too large") as exc:
+            instance_from_json(obj)
+        assert exc.value.field == f"blocks[{key!r}]"
+
+    def test_first_of_several_bad_blocks_is_named(self):
+        obj = _dense_big_obj()
+        keys = list(obj["blocks"])
+        obj["blocks"][keys[8]][0][0] = "x"
+        obj["blocks"][keys[4]] = [[v * 1e160 for v in row] for row in obj["blocks"][keys[4]]]
+        with pytest.raises(SchemaError) as exc:
+            instance_from_json(obj)
+        assert exc.value.field == f"blocks[{keys[4]!r}]"  # the per-block walk names it first
+        items = list(obj["blocks"].items())
+        items[1] = ("y9/x1", items[1][1])
+        obj["blocks"] = dict(items)
+        with pytest.raises(SchemaError) as exc:
+            instance_from_json(obj)
+        assert exc.value.field == "blocks['y9/x1']"
+
+    def test_blocks_land_where_their_keys_say(self):
+        obj = _dense_big_obj()
+        obj["blocks"] = dict(reversed(list(obj["blocks"].items())))
+        T = instance_from_json(obj)
+        for key, rows in obj["blocks"].items():
+            out_label, in_label = key.split("/")
+            x2, x1 = T.space_out.index(out_label), T.space_in.index(in_label)
+            assert T.blocks[x2, x1].tobytes() == np.array(rows, dtype=np.float64).tobytes()
 
 
 def _header(kind, n_in, n_out):

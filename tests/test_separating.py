@@ -73,6 +73,52 @@ class TestScalarIdentityTest:
             assert scalar == (is_separating_exact(T).status == SEPARATING)
 
 
+def _reference_violations(M, thr):
+    """The masks of _scalar_violations as separate arrays, indexed directly,
+    stacked with the kind last and scanned in C order."""
+    ar = np.arange(M.shape[-1])
+    off = np.abs(M) > thr
+    off[..., ar, ar] = False
+    D = M[..., ar, ar]
+    diag = np.abs(D[..., :, None] - D[..., None, :]) > thr
+    diag &= ar[:, None] < ar[None, :]
+    return np.flatnonzero(np.stack((off, diag), axis=-1))
+
+
+@st.composite
+def _near_scalar_blocks(draw):
+    """Blocks M[p, q, a, b], given as the walk gives them (a transposed view),
+    whose entries and diagonal differences sit at, just under and just over
+    the threshold 1.0."""
+    field = draw(st.sampled_from(["real", "complex"]))
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # drawing from the first few steps only keeps a block clear, or nearly
+    steps = np.array([0.0, 0.5, np.nextafter(1.0, 0), 1.0, np.nextafter(1.0, 2), 3.0])
+    steps = steps[: draw(st.integers(1, len(steps)))]
+    Q = rng.choice(steps, (n, n, m, m)) * rng.choice([-1.0, 1.0], (n, n, m, m))
+    if field == "complex":
+        Q = Q + 1j * rng.choice(steps, Q.shape)
+    Q[np.arange(n), np.arange(n)] += rng.choice([0.0, 7.0]) + rng.choice(steps, (n, m, m))
+    return Q.transpose(2, 3, 0, 1)
+
+
+class TestScalarViolations:
+    @settings(max_examples=300, deadline=None)
+    @given(M=_near_scalar_blocks())
+    def test_bit_equal_to_the_direct_masks(self, M):
+        got = separating._scalar_violations(M, 1.0)
+        assert got.tolist() == _reference_violations(M, 1.0).tolist()
+        contiguous = np.ascontiguousarray(M)
+        assert separating._scalar_violations(contiguous, 1.0).tolist() == got.tolist()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 3), (2, 2, 1, 1), (0, 0, 2, 2), (2, 2, 0, 0)])
+    def test_shapes(self, shape):
+        M = np.random.default_rng(1).standard_normal(shape)
+        assert separating._scalar_violations(M, 0.1).tolist() == _reference_violations(M, 0.1).tolist()
+
+
 class TestExactChecker:
     def test_memory_stays_below_the_full_product_tensor(self):
         # one row slice at a time: the n^4 m^2 tensor of all basis products is never built
