@@ -293,6 +293,13 @@ def positive_int(text):
     return value
 
 
+def non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 (exit 2 is reserved for property failures)."""
 
@@ -346,9 +353,9 @@ def build_parser():
     add_tols(p)
 
     p = sub.add_parser("roundtrip", help="generate -> check -> decompose -> verify matrix")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("--seeds", type=int, default=25)
+    p.add_argument("--max-n", type=positive_int, default=6)
+    p.add_argument("--max-k", type=positive_int, default=4)
+    p.add_argument("--seeds", type=non_negative_int, default=25)
     p.add_argument("--field", choices=[REAL, COMPLEX], default=REAL)
     add_tols(p)
     return parser

@@ -287,30 +287,21 @@ def is_strictly_separating(T: BigSuperoperator) -> Verdict:
     """
     cfg = T.cfg
     reach = _reach(T)
-    k1 = T.space_in.k
+    # the input pairs xa < xb that some output point hears both, in (xa, xb) order
+    collide = np.argwhere(np.triu(reach.T @ reach, 1))
+    if collide.size == 0:
+        return Verdict(SEPARATING)
+    xa, xb = collide[0]
+    x2 = int(np.flatnonzero(reach[:, xa] & reach[:, xb])[0])
     imgs = basis_image_array(T.blocks)
-    for xa in range(k1):
-        for xb in range(xa + 1, k1):
-            common = np.flatnonzero(reach[:, xa] & reach[:, xb])
-            if common.size == 0:
-                continue
-            x2 = int(common[0])
-            unit_a = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xa]), cfg)
-            unit_b = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xb]), cfg)
-            F1 = delta_fn(T.space_in, T.space_in.labels[xa], unit_a, cfg)
-            F2 = delta_fn(T.space_in, T.space_in.labels[xb], unit_b, cfg)
-            out1 = apply_fn(T, F1)
-            out2 = apply_fn(T, F2)
-            label2 = T.space_out.labels[x2]
-            ce = FunctionCounterexample(
-                F1=F1,
-                F2=F2,
-                point=label2,
-                product_in_norm=0.0,
-                violation_norm=float(frob(out1.at(label2)) * frob(out2.at(label2))),
-            )
-            return Verdict(NOT_SEPARATING, counterexample=ce)
-    return Verdict(SEPARATING)
+    unit_a = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xa]), cfg)
+    unit_b = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xb]), cfg)
+    F1 = delta_fn(T.space_in, T.space_in.labels[xa], unit_a, cfg)
+    F2 = delta_fn(T.space_in, T.space_in.labels[xb], unit_b, cfg)
+    label2 = T.space_out.labels[x2]
+    violation = frob(apply_fn(T, F1).at(label2)) * frob(apply_fn(T, F2).at(label2))
+    ce = FunctionCounterexample(F1, F2, label2, product_in_norm=0.0, violation_norm=violation)
+    return Verdict(NOT_SEPARATING, counterexample=ce)
 
 
 def is_separating_fn(T: BigSuperoperator) -> Verdict:
@@ -322,7 +313,6 @@ def is_separating_fn(T: BigSuperoperator) -> Verdict:
     its point labels.  Pairs of blocks whose masses multiply to less than
     half the threshold, and zero blocks, cannot violate and are skipped."""
     cfg = T.cfg
-    k2, k1 = T.space_out.k, T.space_in.k
     imgs = basis_image_array(T.blocks)
     scale = image_scale(imgs) ** 2
     thr = cfg.threshold(scale)
@@ -343,34 +333,28 @@ def is_separating_fn(T: BigSuperoperator) -> Verdict:
         )
 
     # cross-point: concentrated at distinct input points, every product is zero
-    for x in range(k1):
-        for y in range(k1):
-            if x == y:
-                continue
-            for x2 in range(k2):
-                # an entry of a product is at most the product of the Frobenius
-                # norms; the factor 2 covers the rounding of both sides
-                if 2 * mass[x2, x] * mass[x2, y] <= thr:
-                    continue
-                prods = np.einsum("ijpr,klrq->ijklpq", imgs[x2, x], imgs[x2, y])
-                bad = np.abs(prods) > thr
-                if bad.any():
-                    i, j, k, l, _p, _q = np.argwhere(bad)[0]
-                    A = _matrix_unit(T.n_in, i, j, cfg)
-                    B = _matrix_unit(T.n_in, k, l, cfg)
-                    return Verdict(NOT_SEPARATING, counterexample=lifted(x, y, A, B, x2))
+    for x in range(T.space_in.k):
+        # an entry of a product is at most the product of the Frobenius norms;
+        # the factor 2 covers the rounding of both sides.  hot[y, x2] flags the
+        # output points where blocks (x2, x) and (x2, y) may fail to annihilate
+        hot = 2 * mass[:, x] * mass.T > thr
+        hot[x] = False
+        for y, x2 in np.argwhere(hot):
+            prods = np.einsum("ijpr,klrq->ijklpq", imgs[x2, x], imgs[x2, y])
+            bad = np.abs(prods) > thr
+            if bad.any():
+                i, j, k, l, _p, _q = np.argwhere(bad)[0]
+                A = _matrix_unit(T.n_in, i, j, cfg)
+                B = _matrix_unit(T.n_in, k, l, cfg)
+                return Verdict(NOT_SEPARATING, counterexample=lifted(x, y, A, B, x2))
 
-    # same-point: each block must be separating on its own, at the global scale
-    for x in range(k1):
-        for x2 in range(k2):
-            if not T.blocks[x2, x].any():  # a zero block is separating
-                continue
-            verdict = is_separating_exact(T.block(x2, x), scale=scale)
-            if not verdict:
-                ce = verdict.counterexample
-                return Verdict(
-                    NOT_SEPARATING, counterexample=lifted(x, x, ce.A, ce.B, x2)
-                )
+    # same-point: each block must be separating on its own, at the global scale;
+    # a zero block is separating
+    for x, x2 in np.argwhere(T.blocks.any(axis=(2, 3)).T):
+        verdict = is_separating_exact(T.block(x2, x), scale=scale)
+        if not verdict:
+            ce = verdict.counterexample
+            return Verdict(NOT_SEPARATING, counterexample=lifted(x, x, ce.A, ce.B, x2))
     return Verdict(SEPARATING)
 
 

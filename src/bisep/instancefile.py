@@ -399,10 +399,12 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
             where = f"blocks[{key!r}]"
             block = matrix_from_json(rows, field, blocks.shape[2:], where)
             blocks[points_out.index(parts[0]), points_in.index(parts[1])] = _admit(cfg, block, where)
-    return BigSuperoperator(
-        space_in=space_in, space_out=space_out, n_in=n_in, n_out=n_out,
-        blocks=_admit(cfg, blocks, "blocks"), cfg=cfg,
-    )
+    try:
+        return BigSuperoperator(
+            space_in=space_in, space_out=space_out, n_in=n_in, n_out=n_out, blocks=blocks, cfg=cfg
+        )
+    except ValueError as exc:  # blocks that each pass can still be too large together
+        raise SchemaError(f"field 'blocks': {exc}", field="blocks") from None
 
 
 def load_instance(path, tol_rel=None, tol_abs=None):

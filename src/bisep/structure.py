@@ -26,10 +26,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .linalg import frob, invert, numeric_rank, outer, rank_one_factor
-from .superop import Superoperator, apply, basis_image_array, image_scale
-
-_PROBE_SEED = 1729
-_PROBE_COUNT = 20
+from .superop import Superoperator, basis_image_array, image_scale
 
 
 @dataclass(frozen=True)
@@ -73,23 +70,16 @@ def gauge_normalize(S, cfg: FieldConfig):
 
 
 def check_rank_one_preserving(T: Superoperator) -> bool:
-    """True iff every matrix-unit image and 20 seeded random rank-one probes
-    map to numeric-rank-one matrices."""
-    cfg, n = T.cfg, T.n_in
+    """True iff every matrix-unit image has numeric rank one.
+
+    This names the step at which a map fails; it does not decide the form.
+    Other rank-one inputs are not probed: a map that passes here but is not
+    of the form fails a later step, at the latest ``verify_form``'s
+    residual over the whole basis."""
+    cfg = T.cfg
     im = basis_image_array(T.mat)
     # E_11 alone rejects most maps that fail, without the n^2 SVDs of the batch
-    if numeric_rank(im[0, 0], cfg) != 1 or (numeric_rank(im, cfg) != 1).any():
-        return False
-    rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(_PROBE_COUNT):
-        u = rng.standard_normal(n)
-        f = rng.standard_normal(n)
-        if cfg.is_complex:
-            u = u + 1j * rng.standard_normal(n)
-            f = f + 1j * rng.standard_normal(n)
-        if numeric_rank(apply(T, outer(u.astype(cfg.dtype), f.astype(cfg.dtype))), cfg) != 1:
-            return False
-    return True
+    return numeric_rank(im[0, 0], cfg) == 1 and bool((numeric_rank(im, cfg) == 1).all())
 
 
 def unit_deviations(im, form: ConjugationForm, cfg: FieldConfig) -> np.ndarray:

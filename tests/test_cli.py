@@ -381,6 +381,10 @@ def test_usage_errors_exit_1(capsys):
     argvs += [["check", "x.json", "--sampled", "0"], ["check", "x.json", "--sampled", "-5"]]
     argvs += [["decompose", "x.json", "--tol", "0"], ["gen", "superop", "x.json", "--tol", "nan"],
               ["roundtrip", "--tol", "-1"], ["roundtrip", "--tol-abs", "nan"]]
+    # a roundtrip over no sizes would report a wrong reason for running no cases
+    argvs += [["roundtrip", "--max-n", "0"], ["roundtrip", "--max-k", "0"],
+              ["roundtrip", "--max-n", "-3"], ["roundtrip", "--seeds", "-2"],
+              ["roundtrip", "--max-n", "0", "--max-k", "0", "--seeds", "5"]]
     for argv in argvs:
         with pytest.raises(SystemExit) as exc:
             main(argv)

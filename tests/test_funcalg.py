@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,8 @@ from bisep import (
 )
 from bisep.errors import DimensionMismatch
 from bisep.separating import BISEPARATING, FORWARD, NOT_INVERTIBLE, NOT_SEPARATING
-from bisep.funcalg import constant_fn, multiply
-from bisep.linalg import kernel_basis, numeric_rank
+from bisep.funcalg import _best_unit, _matrix_unit, _reach, constant_fn, multiply
+from bisep.linalg import frob, kernel_basis, numeric_rank
 from bisep.superop import basis_image_array, image_scale
 
 CFG = FieldConfig()
@@ -296,6 +298,27 @@ class TestSeparatingFnSkips:
             blocks = b.blocks.copy()
             blocks[0][live[0]] = 0
             yield _with_blocks(b, blocks)
+        # sparse faint off-phi blocks: each makes the triples with its row's
+        # phi-block hot, none violates; the second map adds one loud off-phi
+        # block late in the (x, y, x2) order, after several clean hot triples
+        for k in range(6, 11):
+            b = gen_pointwise(k, 1 + k % 3, seed=k, cfg=cfg).map
+            mass = np.linalg.norm(b.blocks, axis=(2, 3))
+            phi = mass.argmax(axis=1)
+            thr = cfg.threshold(image_scale(basis_image_array(b.blocks)) ** 2)
+            blocks = b.blocks.copy()
+            for x2 in rng.choice(k, size=k // 2, replace=False):
+                y = rng.choice(np.delete(np.arange(k), phi[x2]))
+                noise = rng.standard_normal(blocks.shape[2:])
+                if cfg.is_complex:
+                    noise = noise + 1j * rng.standard_normal(blocks.shape[2:])
+                # 2 * mass * faint > thr, and every product entry is at most
+                # mass * faint < thr
+                blocks[x2, y] = 0.75 * thr / mass[x2, phi[x2]] * noise / np.linalg.norm(noise)
+            yield _with_blocks(b, blocks)
+            x2 = int(np.flatnonzero(phi == k - 1)[0])
+            blocks[x2, k - 2] = 1e-3 * blocks[x2, k - 1]
+            yield _with_blocks(b, blocks)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_matches_unpruned_reference(self, field):
@@ -323,6 +346,82 @@ class TestSeparatingFnSkips:
         b = gen_pointwise(5, 2, seed=1).map
         assert is_separating_fn(b).status == "separating"
         assert len(calls) == 5  # one nonzero block per input point, not 25
+
+    def test_masks_stay_quadratic_in_k(self):
+        # one k x k mask per input point, never a k^3 cube (16 MiB of bools here)
+        T = gen_pointwise(256, 1, seed=1).map
+        tracemalloc.start()
+        try:
+            assert is_separating_fn(T).status == "separating"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _pair_loop_strictly_separating(T):
+    """Reference for is_strictly_separating: every input pair in (xa, xb)
+    order, the first common output point of the first colliding pair."""
+    cfg = T.cfg
+    reach = _reach(T)
+    k1 = T.space_in.k
+    imgs = basis_image_array(T.blocks)
+    for xa in range(k1):
+        for xb in range(xa + 1, k1):
+            common = np.flatnonzero(reach[:, xa] & reach[:, xb])
+            if common.size == 0:
+                continue
+            x2 = int(common[0])
+            unit_a = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xa]), cfg)
+            unit_b = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xb]), cfg)
+            F1 = delta_fn(T.space_in, T.space_in.labels[xa], unit_a, cfg)
+            F2 = delta_fn(T.space_in, T.space_in.labels[xb], unit_b, cfg)
+            label2 = T.space_out.labels[x2]
+            out1 = apply_fn(T, F1)
+            out2 = apply_fn(T, F2)
+            return F1.values, F2.values, label2, frob(out1.at(label2)) * frob(out2.at(label2))
+    return None
+
+
+class TestStrictlySeparatingOrder:
+    """The first colliding pair from the reach product is the pair loop's."""
+
+    @staticmethod
+    def _maps(field):
+        cfg = FieldConfig(field=field)
+        rng = np.random.default_rng(23)
+        for seed in range(8):
+            k, n = 2 + seed, 1 + seed % 3
+            yield gen_point_mixing(k, n, seed=seed, cfg=cfg)
+            yield gen_pointwise(k, n, seed=seed, cfg=cfg).map
+            # random reach patterns, most of them with several collisions
+            for density in (0.2, 0.4, 0.7):
+                shape = (k + seed % 2, k, n * n, n * n)
+                blocks = rng.standard_normal(shape)
+                if cfg.is_complex:
+                    blocks = blocks + 1j * rng.standard_normal(shape)
+                blocks *= (rng.random(shape[:2]) < density)[..., None, None]
+                space_out = DiscreteSpace(tuple(f"y{i}" for i in range(shape[0])))
+                space_in = DiscreteSpace(tuple(f"x{i}" for i in range(k)))
+                yield BigSuperoperator(space_in=space_in, space_out=space_out, n_in=n,
+                                       n_out=n, blocks=blocks, cfg=cfg)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matches_pair_loop(self, field):
+        verdicts = set()
+        for T in self._maps(field):
+            ref = _pair_loop_strictly_separating(T)
+            verdict = is_strictly_separating(T)
+            verdicts.add(verdict.status)
+            if ref is None:
+                assert verdict.status == "separating"
+                continue
+            ce = verdict.counterexample
+            assert verdict.status == "not_separating"
+            assert np.array_equal(ce.F1.values, ref[0]) and np.array_equal(ce.F2.values, ref[1])
+            assert (ce.point, ce.violation_norm) == ref[2:]
+            assert ce.product_in_norm == 0.0
+        assert verdicts == {"separating", "not_separating"}
 
 
 class TestBiseparatingFn:

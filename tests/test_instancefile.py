@@ -329,6 +329,28 @@ class TestSchemaErrors:
             instance_from_json(obj)
         assert exc.value.field == "blocks"
 
+    def test_overflow_edge_names_blocks(self):
+        # the stack of listed blocks and the zero-padded map sum their squares
+        # in different orders, so at the overflow edge the stack can be
+        # admitted and the whole map refused: that refusal names 'blocks' too
+        rng = np.random.default_rng(0)
+        outcomes = set()
+        for _ in range(100):
+            stack = rng.standard_normal((4, 4, 4))
+            stack *= math.sqrt(np.finfo(np.float64).max / 2) / np.linalg.norm(stack)
+            cells = rng.choice(9, size=4, replace=False)
+            for factor in (1 - 2e-16, 1 - 1e-16, 1.0, 1 + 1e-16, 1 + 2e-16):
+                obj = instance_to_json(gen_pointwise(3, 2, seed=0).map)
+                obj["blocks"] = {f"y{c // 3 + 1}/x{c % 3 + 1}": (factor * block).tolist()
+                                 for c, block in zip(cells, stack)}
+                try:
+                    instance_from_json(obj)
+                    outcomes.add("admitted")
+                except SchemaError as exc:
+                    assert exc.field == "blocks"
+                    outcomes.add("refused")
+        assert outcomes == {"admitted", "refused"}
+
     def test_huge_integer_real_entry(self):
         obj = _valid_superop_obj()
         obj["matrix"][0][1] = 10**400

@@ -128,6 +128,18 @@ class TestRecover:
         with pytest.raises(NotRankOnePreserving):
             recover_conjugation(from_basis_images(images))
 
+    def test_rank_one_units_but_not_rank_one_preserving(self):
+        # the identity with the images of E_11 and E_12 swapped: every unit
+        # image is rank one, but E_11 + E_21 maps to E_12 + E_21, of rank two.
+        # Only the matrix units are rank-tested, so the covector step names
+        # the failure
+        E = [np.outer(np.eye(2)[p], np.eye(2)[q]) for q in range(2) for p in range(2)]
+        T = from_basis_images([E[2], E[1], E[0], E[3]])
+        assert check_rank_one_preserving(T)
+        assert np.linalg.matrix_rank(apply(T, E[0] + E[1])) == 2
+        with pytest.raises(NotFactorizable, match="E_21 does not share the covector of the E_11"):
+            recover_conjugation(T)
+
     def test_not_invertible_s_error(self):
         # A -> e1 (ones^T A): rank-one preserving, but all columns collapse onto e1
         ones = np.ones(2)
