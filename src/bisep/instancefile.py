@@ -18,16 +18,28 @@ entry types check out.  Every matrix entry must be a JSON number that is a
 finite double; on a bad entry the per-entry walk runs and its SchemaError
 names the entry.  A map, or one block of it, that ``FieldConfig.asarray``
 refuses as too large is a SchemaError naming ``matrix`` or the block key.
+
+Files are decoded by orjson from their bytes.  stdlib json decides only the
+files orjson refuses (NaN and Infinity tokens, numbers beyond the double
+range, lone surrogates, invalid UTF-8, a BOM) and those nested more than
+ORJSON_MAX_DEPTH deep, reading them as ``open`` would: such a file is either
+not valid JSON or the validation above names its bad entry.  So every error
+report is the one a reader using stdlib json alone gives, but one: orjson
+reads an integer outside [-2**63, 2**64) as a float, so such an ``n_in`` or
+``n_out`` is refused as not an integer.
 """
 
 import functools
+import io
 import json
 import math
 import os
+import re
 import tempfile
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .config import COMPLEX, REAL, FieldConfig
 from .errors import SchemaError
@@ -372,7 +384,10 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
     if kind == KIND_SUPEROP:
         check_size(n_in, n_out, 1, 1)
         mat = matrix_from_json(_need(obj, "matrix", list), field, (n_out**2, n_in**2), "matrix")
-        return Superoperator(n_in=n_in, n_out=n_out, mat=_admit(cfg, mat, "matrix"), cfg=cfg)
+        try:
+            return Superoperator(n_in=n_in, n_out=n_out, mat=mat, cfg=cfg)
+        except ValueError as exc:  # a map too large to multiply
+            raise SchemaError(f"field 'matrix': {exc}", field="matrix") from None
 
     points_in = _labels_from_json(obj, "points_in")
     points_out = _labels_from_json(obj, "points_out")
@@ -407,15 +422,51 @@ def instance_from_json(obj, tol_rel=None, tol_abs=None):
         raise SchemaError(f"field 'blocks': {exc}", field="blocks") from None
 
 
-def load_instance(path, tol_rel=None, tol_abs=None):
+# orjson (3.8) builds nested values by recursion without a limit: a file
+# nested 2 * 10**5 deep overflows an 8 MiB C stack.  Files nested deeper than
+# this (instance and truth files nest 5 deep) are left to stdlib json, whose
+# recursion limit raises RecursionError.
+ORJSON_MAX_DEPTH = 64
+
+# every byte but the brackets and the quote
+_NOT_STRUCTURE = bytes(set(range(256)) - set(b'[]{}"'))
+
+
+def _nesting_depth(data):
+    """How deep arrays and objects nest in the JSON text ``data``, exact when
+    ``data`` is valid JSON."""
+    if b"\\" in data:
+        data = re.sub(rb"\\.", b"", data)  # escapes hold no quote or bracket
+    tokens = np.frombuffer(data.translate(None, _NOT_STRUCTURE), np.uint8)
+    quote = tokens == ord('"')
+    in_string = np.cumsum(quote) % 2 == 1
+    opens = (tokens == ord("[")) | (tokens == ord("{"))
+    steps = np.where(quote | in_string, 0, np.where(opens, 1, -1))
+    return int(np.cumsum(steps).max(initial=0))
+
+
+def _read_json(path):
+    """The JSON value in the file at ``path``; SchemaError naming ``$`` when
+    the file cannot be read or is not valid JSON."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}", field="$") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+    if _nesting_depth(data) <= ORJSON_MAX_DEPTH:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    try:
+        # the text open(path) reads: a BOM or bad UTF-8 is not valid JSON
+        return json.loads(io.TextIOWrapper(io.BytesIO(data)).read())
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}", field="$") from exc
-    return instance_from_json(obj, tol_rel=tol_rel, tol_abs=tol_abs)
+
+
+def load_instance(path, tol_rel=None, tol_abs=None):
+    return instance_from_json(_read_json(path), tol_rel=tol_rel, tol_abs=tol_abs)
 
 
 def save_instance(path, obj):
@@ -468,8 +519,7 @@ def truth_from_json(obj):
 
 
 def load_truth(path):
-    with open(path) as fh:
-        return truth_from_json(json.load(fh))
+    return truth_from_json(_read_json(path))
 
 
 def save_truth(path, truth, field):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 from bisep import cli
 from bisep.cli import main
 from bisep.instancefile import MAX_ENTRIES, instance_to_json, load_truth, save_instance
-from bisep import Superoperator, gen_conjugation, gen_transpose
+from bisep import Superoperator, gen_conjugation, gen_pointwise, gen_transpose
 from bisep.errors import DimensionMismatch
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -287,6 +288,80 @@ class TestSchemaFailures:
             code, rep = run_cli(capsys, command, path)
         assert code == 1 and rep["status"] == "schema_error"
         assert rep["field"] == "matrix" and "too large" in rep["error"]
+
+
+def _superop_text(entry="0.5"):
+    """An n = 2 instance file with ``entry`` as the token of matrix[0][1]."""
+    obj = instance_to_json(gen_conjugation(2, seed=3).map)
+    obj["matrix"][0][1] = "ENTRY"
+    return json.dumps(obj).replace('"ENTRY"', entry)
+
+
+def _labelled_big_bytes(label):
+    """A k = 2 block map file whose first input point is written as ``label``
+    (raw bytes between the quotes)."""
+    obj = instance_to_json(gen_pointwise(2, 1, seed=3).map)
+    obj["points_in"][0] = "LABEL"
+    obj["blocks"] = {key.replace("/x1", "/LABEL"): rows for key, rows in obj["blocks"].items()}
+    return json.dumps(obj).encode().replace(b"LABEL", label)
+
+
+# Files that orjson refuses or reads differently from stdlib json:
+# (name, file bytes, exit code, status, field, a pattern of the error).
+# Each gives the report of a reader that decodes with stdlib json alone,
+# except the header integers beyond 64 bits, which orjson reads as floats.
+HOSTILE_FILES = [
+    ("nan", _superop_text("NaN").encode(), 1, "schema_error", "matrix",
+     r"^field 'matrix' contains non-finite entries$"),
+    ("infinity", _superop_text("Infinity").encode(), 1, "schema_error", "matrix",
+     r"^field 'matrix' contains non-finite entries$"),
+    ("-infinity", _superop_text("-Infinity").encode(), 1, "schema_error", "matrix",
+     r"^field 'matrix' contains non-finite entries$"),
+    ("1e400", _superop_text("1e400").encode(), 1, "schema_error", "matrix",
+     r"^field 'matrix' contains non-finite entries$"),
+    ("over DBL_MAX", _superop_text("1.7976931348623159e308").encode(), 1, "schema_error",
+     "matrix", r"^field 'matrix' contains non-finite entries$"),
+    ("10**400", _superop_text(str(10**400)).encode(), 1, "schema_error", "matrix[0][1]",
+     r"^entry at matrix\[0\]\[1\] is too large for a double$"),
+    ("5000 digits", _superop_text("7" * 5000).encode(), 1, "schema_error", "$",
+     r"is not valid JSON: Exceeds the limit \(4300 digits\)"),
+    ("lone surrogate", _labelled_big_bytes(rb"\ud800"), 0, "biseparating", None, None),
+    ("invalid utf-8", _labelled_big_bytes(b"x\xff"), 1, "schema_error", "$",
+     r"is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ("utf-8 bom", b"\xef\xbb\xbf" + _superop_text().encode(), 1, "schema_error", "$",
+     r"is not valid JSON: Unexpected UTF-8 BOM"),
+    # stdlib json read these as integers: 'header declares ... map entries'
+    # naming n_in for all three, or "'n_in' and 'n_out' must be positive"
+    ("n_in = 2**64", _superop_text().replace('"n_in": 2', f'"n_in": {2**64}').encode(),
+     1, "schema_error", "n_in", r"^field 'n_in' must be int, got float$"),
+    ("n_out = 2**64", _superop_text().replace('"n_out": 2', f'"n_out": {2**64}').encode(),
+     1, "schema_error", "n_out", r"^field 'n_out' must be int, got float$"),
+    ("n_in = -2**63 - 1",
+     _superop_text().replace('"n_in": 2', f'"n_in": {-(2**63) - 1}').encode(),
+     1, "schema_error", "n_in", r"^field 'n_in' must be int, got float$"),
+]
+
+
+@pytest.mark.parametrize("name,data,code,status,field,error", HOSTILE_FILES,
+                         ids=[case[0] for case in HOSTILE_FILES])
+def test_hostile_file(tmp_path, capsys, report_schema, name, data, code, status, field, error):
+    path = tmp_path / "inst.json"
+    path.write_bytes(data)
+    got, rep = run_cli(capsys, "check", path)
+    assert (got, rep["status"], rep.get("field")) == (code, status, field)
+    if error is not None:
+        assert re.search(error, rep["error"]), rep["error"]
+    report_schema(rep)
+
+
+def test_deeply_nested_file_does_not_crash_the_interpreter(tmp_path):
+    # orjson would overflow the C stack here; stdlib json decides the file and
+    # stops at its recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**6 + "]" * 10**6)
+    proc = subprocess.run([sys.executable, "-m", "bisep.cli", "check", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and "RecursionError" in proc.stderr
 
 
 def test_every_failure_prints_one_report(tmp_path, capsys, monkeypatch, report_schema):

@@ -1,23 +1,28 @@
+import decimal
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bisep import FieldConfig, SchemaError, Superoperator, gen_conjugation, gen_pointwise, perturb
 from bisep.instancefile import (
     _float_rows,
+    _nesting_depth,
+    _read_json,
     dumps,
     instance_from_json,
     instance_to_json,
     load_instance,
+    load_truth,
     matrix_from_json,
     matrix_to_json,
     save_instance,
+    save_truth,
     truth_from_json,
     truth_path_for,
     truth_to_json,
@@ -250,6 +255,19 @@ class TestTruthRoundTrip:
     def test_truth_path_naming(self):
         assert truth_path_for("a/b/inst.json") == "a/b/inst.truth.json"
         assert truth_path_for("plain") == "plain.truth.json"
+
+    def test_truncated_truth_file(self, tmp_path):
+        path = tmp_path / "inst.truth.json"
+        save_truth(path, gen_conjugation(3, seed=6).ground_truth, "real")
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(SchemaError, match="not valid JSON") as exc:
+            load_truth(path)
+        assert exc.value.field == "$"
+
+    def test_missing_truth_file(self, tmp_path):
+        with pytest.raises(SchemaError, match="cannot read") as exc:
+            load_truth(tmp_path / "absent.truth.json")
+        assert exc.value.field == "$"
 
 
 def _valid_superop_obj():
@@ -528,6 +546,100 @@ class TestFloatRows:
 
     def test_integer_beyond_a_double_goes_to_the_walk(self):
         assert _float_rows([[1.0, 10**400]], "real", (1, 2)) is None
+
+
+def _midpoint(x):
+    """The exact decimal halfway between ``x`` and its neighbour towards zero."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # enough for every such midpoint, subnormal ones too
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, 0.0))) / 2
+    return format(mid, "e")
+
+
+# zeros of both signs, the smallest subnormal, a decimal just above half of
+# it (read as the smallest subnormal) and the largest subnormal
+_SMALL_TOKENS = ["-0.0", "-0", "0e0", "5e-324", "2.4703282292062328e-324",
+                 "2.2250738585072009e-308"]
+
+
+def _tokens(floats, integers, specials):
+    """JSON number tokens: ``floats`` written with %.17g, repr and %.25e and as
+    exact halfway decimals, ``integers`` and ``specials``."""
+    formats = st.sampled_from(["%.17g".__mod__, repr, "%.25e".__mod__, _midpoint])
+    return st.one_of(
+        st.builds(lambda x, fmt: fmt(x), floats, formats),
+        integers.map(str),
+        st.sampled_from(specials),
+    )
+
+
+def _matrix_file(path, tokens):
+    """Write an n = 2 real instance whose 16 matrix entries are ``tokens``;
+    its text."""
+    rows = ", ".join("[" + ", ".join(tokens[i:i + 4]) + "]" for i in range(0, 16, 4))
+    text = json.dumps(_header("superop", 2, 2))[:-1] + ', "matrix": [' + rows + "]}"
+    path.write_text(text)
+    return text
+
+
+class TestDecodeMatchesStdlib:
+    """orjson reads every finite number token as stdlib json and float() do."""
+
+    FILE_EXAMPLES = settings(max_examples=200, deadline=None,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @FILE_EXAMPLES
+    @given(tokens=st.lists(_tokens(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.integers(-(10**300), 10**300),
+                                   _SMALL_TOKENS + ["1.7976931348623157e308"]),
+                           min_size=16, max_size=16))
+    def test_decode_over_the_double_range(self, tmp_path, tokens):
+        # entries this large are refused as too large to multiply, so the
+        # bits are compared where the file is decoded
+        text = _matrix_file(tmp_path / "inst.json", tokens)
+        reference = np.array(json.loads(text)["matrix"], dtype=np.float64)
+        got = np.array(_read_json(tmp_path / "inst.json")["matrix"], dtype=np.float64)
+        assert got.tobytes() == reference.tobytes()
+
+    @FILE_EXAMPLES
+    @given(tokens=st.lists(_tokens(st.floats(-1e150, 1e150), st.integers(-(10**150), 10**150),
+                                   _SMALL_TOKENS),
+                           min_size=16, max_size=16))
+    def test_load_instance_within_the_admitted_range(self, tmp_path, tokens):
+        text = _matrix_file(tmp_path / "inst.json", tokens)
+        reference = np.array(json.loads(text)["matrix"], dtype=np.float64)
+        assert load_instance(tmp_path / "inst.json").mat.tobytes() == reference.tobytes()
+
+
+def _depth(value):
+    if isinstance(value, (list, dict)):
+        children = value.values() if isinstance(value, dict) else value
+        return 1 + max(map(_depth, children), default=0)
+    return 0
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize("text,depth", [
+        ("1", 0), ('""', 0), ("[]", 1), ('{"a": [[1], {}]}', 3),
+        ('["[[[", {"a]]]\\"]]": [[[2]]]}]', 5),
+        ('[["\\\\"], "]"]', 2),
+        ('["\\u005b\\"{", [[]]]', 3),
+    ])
+    def test_brackets_in_strings_do_not_count(self, text, depth):
+        assert _nesting_depth(text.encode()) == depth
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=_JSON_VALUES, ascii_only=st.booleans())
+    def test_depth_of_any_json_text(self, value, ascii_only):
+        text = json.dumps(value, ensure_ascii=ascii_only)
+        assert _nesting_depth(text.encode("utf-8", "surrogatepass")) == _depth(value)
 
 
 def _dense_big_obj():
