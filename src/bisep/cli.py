@@ -46,6 +46,7 @@ from .instancefile import (
     check_size,
     counterexample_to_json,
     dumps,
+    dumps_ascii,
     form_to_json,
     instance_from_json,
     instance_to_json,
@@ -377,7 +378,10 @@ def main(argv=None) -> int:
             report["field"] = exc.field
         code = EXIT_ERROR
     report["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    print(dumps(report))
+    try:
+        print(dumps(report))
+    except UnicodeEncodeError:  # a stdout that cannot write UTF-8 text
+        print(dumps_ascii(report))
     return code
 
 

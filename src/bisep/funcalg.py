@@ -311,7 +311,20 @@ def is_separating_fn(T: BigSuperoperator) -> Verdict:
     in label order), then the per-block scalar-identity reduction; the
     first violation is returned as a function-pair counterexample with
     its point labels.  Pairs of blocks whose masses multiply to less than
-    half the threshold, and zero blocks, cannot violate and are skipped."""
+    half the threshold cannot violate and are skipped.
+
+    So are the blocks whose mass is at most half the square root of the
+    threshold, zero blocks among them: every basis image of block (x2, x)
+    has Frobenius norm at most its mass, so every entry of a product of two
+    is at most mass^2, and a difference of two diagonal entries at most
+    2 mass^2.  The checker's products round each entry by at most
+    g = (m + 3) eps relative (see the separating module), the difference
+    and its modulus add 3 eps, and the computed mass^2 is within a relative
+    2 N eps of the true one (N entries per block), and 4 mass mass adds 2 eps.
+    So when the computed 4 mass^2 <= thr, no computed off-diagonal entry or
+    diagonal difference exceeds thr / 2 (1 + 2 (N + m + 5) eps) < thr: the
+    block checker sets no mask bit and returns SEPARATING.  The blocks left
+    keep their (x, x2) order, so the certificate is unchanged."""
     cfg = T.cfg
     imgs = basis_image_array(T.blocks)
     scale = image_scale(imgs) ** 2
@@ -348,9 +361,9 @@ def is_separating_fn(T: BigSuperoperator) -> Verdict:
                 B = _matrix_unit(T.n_in, k, l, cfg)
                 return Verdict(NOT_SEPARATING, counterexample=lifted(x, y, A, B, x2))
 
-    # same-point: each block must be separating on its own, at the global scale;
-    # a zero block is separating
-    for x, x2 in np.argwhere(T.blocks.any(axis=(2, 3)).T):
+    # same-point: each block must be separating on its own, at the global
+    # scale; a block with 4 mass^2 <= thr is (see the docstring)
+    for x, x2 in np.argwhere((4 * mass * mass > thr).T):
         verdict = is_separating_exact(T.block(x2, x), scale=scale)
         if not verdict:
             ce = verdict.counterexample

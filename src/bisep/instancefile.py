@@ -3,36 +3,37 @@
 Scalars follow the declared field: plain numbers for "real", two-element
 [re, im] arrays for "complex".  The vectorization convention is stored
 redundantly in every instance file and must read "column-major"; any
-other value is rejected so foreign files cannot be misread silently.
-Floats are emitted with 17 significant digits, which round-trips IEEE
-doubles exactly.  A file may declare at most MAX_ENTRIES map entries; the
-header is checked before the map is allocated.
+other value is rejected so foreign files cannot be misread silently.  A
+file may declare at most MAX_ENTRIES map entries; the header is checked
+before the map is allocated.
 
-Matrices are written and read as whole blocks.  ``dumps`` renders a list or
-dict whose values nest evenly down to floats (a matrix, a complex one's
-[re, im] pairs, all blocks of a block map) with one ``%`` format over a
-template that carries the layout's pads and commas; the bytes are those of
-the float-by-float renderer.  ``matrix_from_json``, and the block-map reader
-for all its blocks at once, builds one float64 array once the shape and the
-entry types check out.  Every matrix entry must be a JSON number that is a
-finite double; on a bad entry the per-entry walk runs and its SchemaError
-names the entry.  A map, or one block of it, that ``FieldConfig.asarray``
-refuses as too large is a SchemaError naming ``matrix`` or the block key.
+``dumps`` writes with orjson, indented by two spaces: floats as the shortest
+text that reads back as the same double, strings as UTF-8 (non-ASCII
+characters are not escaped).  stdlib json decides only what orjson refuses
+(an integer outside [-2**63, 2**64), a lone surrogate) or renders as null
+(None, and NaN and the infinities, which it refuses with ValueError); it
+writes the same layout, floats by repr and non-ASCII escaped.
+
+``matrix_from_json``, and the block-map reader for all its blocks at once,
+builds one float64 array once the shape and the entry types check out.
+Every matrix entry must be a JSON number that is a finite double; on a bad
+entry the per-entry walk runs and its SchemaError names the entry.  A map,
+or one block of it, that ``FieldConfig.asarray`` refuses as too large is a
+SchemaError naming ``matrix`` or the block key.
 
 Files are decoded by orjson from their bytes.  stdlib json decides only the
 files orjson refuses (NaN and Infinity tokens, numbers beyond the double
 range, lone surrogates, invalid UTF-8, a BOM) and those nested more than
 ORJSON_MAX_DEPTH deep, reading them as ``open`` would: such a file is either
-not valid JSON or the validation above names its bad entry.  So every error
-report is the one a reader using stdlib json alone gives, but one: orjson
-reads an integer outside [-2**63, 2**64) as a float, so such an ``n_in`` or
-``n_out`` is refused as not an integer.
+not valid JSON, nested too deeply for stdlib json's recursion limit, or the
+validation above names its bad entry.  So every error report is the one a
+reader using stdlib json alone gives, but one: orjson reads an integer
+outside [-2**63, 2**64) as a float, so such an ``n_in`` or ``n_out`` is
+refused as not an integer.
 """
 
-import functools
 import io
 import json
-import math
 import os
 import re
 import tempfile
@@ -59,103 +60,38 @@ MAX_ENTRIES = 2**24
 # serialization
 
 
-def _fmt_float(x) -> str:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite floats cannot be serialized")
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+# orjson writes NaN and the infinities as null, and numpy scalars as their values
+_ORJSON_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
 
 
-def _nest_shape(values, leaves, containers):
-    """(shape, entries) when ``values`` nests non-empty lists (of types in
-    ``containers``) evenly down to entries whose types are all in ``leaves``,
-    with the entries flattened in C order; None otherwise."""
-    shape, level = [len(values)], values
-    while True:
-        kinds = set(map(type, level))
-        if kinds and kinds <= leaves:
-            return tuple(shape), level
-        widths = set(map(len, level)) if kinds <= containers else ()
-        if len(widths) != 1 or 0 in widths:
-            return None
-        shape.append(len(level[0]))
-        level = list(chain.from_iterable(level))
-
-
-# Sub-blocks of up to this many entries have their templates cached, which
-# bounds what the cache holds.
-CACHED_ENTRIES = 1024
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_template(flags, shape, depth):
-    return _template(flags, shape, depth)
-
-
-def _template(flags, shape, depth, heads=None, brackets="[]"):
-    """The %-template of a float block of ``shape`` rendered at ``depth``: one
-    %.17g slot per entry, with '.0' after those whose byte in ``flags`` is 1.
-    Item i of the outer level opens with ``heads[i]`` (default: the pad)."""
-    heads = heads or ["\n" + "  " * (depth + 1)] * shape[0]
-    if len(shape) == 1:
-        items = [h + ("%.17g.0" if f else "%.17g") for h, f in zip(heads, flags)]
-    else:
-        step = len(flags) // shape[0]
-        sub = _cached_template if step <= CACHED_ENTRIES else _template
-        items = [h + sub(flags[i * step:(i + 1) * step], shape[1:], depth + 1)
-                 for i, h in enumerate(heads)]
-    return brackets[0] + ",".join(items) + "\n" + "  " * depth + brackets[1]
-
-
-def _emit_block(a, depth, heads, brackets):
-    """What render gives for the float block ``a``, in one format call."""
-    mag = np.abs(a)
-    if not mag.max() < np.inf:  # nan fails the test too
-        raise ValueError("non-finite floats cannot be serialized")
-    # %.17g prints an integer-valued double below 1e17 with neither '.' nor 'e'
-    flags = ((a == np.trunc(a)) & (mag < 1e17)).tobytes()
-    heads = [h.replace("%", "%%") for h in heads]
-    return _template(flags, a.shape, depth, heads, brackets) % tuple(a.ravel().tolist())
+def _plain(obj):
+    """A numpy value as the Python value stdlib json writes."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    """Serialize dict/list/str/int/float/bool/None to JSON text with
-    full-precision floats, indented by two spaces.  A list or dict whose
-    values form one float block is rendered with one format call."""
+    """Serialize dict/list/str/int/float/bool/None, and numpy values, to JSON
+    text indented by two spaces, each float as the shortest text that reads
+    back as the same double.  A non-finite float raises ValueError."""
+    try:
+        text = orjson.dumps(obj, option=_ORJSON_OPTIONS)
+        if b"null" not in text:
+            return text.decode()
+    except orjson.JSONEncodeError:  # an int beyond 64 bits, a lone surrogate
+        pass
+    # a null may be None or a non-finite float: stdlib json tells them apart
+    return dumps_ascii(obj)
 
-    def render(node, depth):
-        pad = "\n" + "  " * (depth + 1)
-        if isinstance(node, (dict, list, tuple)):
-            if not len(node):
-                return "{}" if isinstance(node, dict) else "[]"
-            if isinstance(node, dict):
-                heads = [f"{pad}{json.dumps(str(k))}: " for k in node]
-                values, brackets = list(node.values()), "{}"
-            else:
-                heads, values, brackets = [pad] * len(node), node, "[]"
-            nest = _nest_shape(values, {float}, {list, tuple})
-            if nest:
-                shape, entries = nest
-                block = np.array(entries, dtype=np.float64).reshape(shape)
-                return _emit_block(block, depth, heads, brackets)
-            items = [h + render(v, depth + 1) for h, v in zip(heads, values)]
-            return brackets[0] + ",".join(items) + "\n" + "  " * depth + brackets[1]
-        if isinstance(node, bool):
-            return "true" if node else "false"
-        if isinstance(node, (int, np.integer)):
-            return str(int(node))
-        if isinstance(node, (float, np.floating)):
-            return _fmt_float(node)
-        if node is None:
-            return "null"
-        if isinstance(node, str):
-            return json.dumps(node)
-        raise TypeError(f"cannot serialize {type(node).__name__}")
 
-    return render(obj, 0)
+def dumps_ascii(obj) -> str:
+    """What ``dumps`` writes, by stdlib json: floats by repr, non-ASCII
+    characters \\u-escaped.  A non-finite float raises ValueError."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise ValueError("non-finite floats cannot be serialized") from exc
 
 
 def scalar_to_json(x, field):
@@ -178,7 +114,7 @@ def write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
         os.replace(tmp, path)
@@ -220,12 +156,28 @@ def _scalar_from_json(v, field, where):
         raise SchemaError(f"entry at {where} is too large for a double", field=where) from None
 
 
+def _nest_shape(values):
+    """(shape, entries) when the list ``values`` nests non-empty lists evenly
+    down to entries that are all ints or floats, with the entries flattened in
+    C order; None otherwise."""
+    shape, level = [len(values)], values
+    while True:
+        kinds = set(map(type, level))
+        if kinds and kinds <= {float, int}:
+            return tuple(shape), level
+        widths = set(map(len, level)) if kinds == {list} else ()
+        if len(widths) != 1 or 0 in widths:
+            return None
+        shape.append(len(level[0]))
+        level = list(chain.from_iterable(level))
+
+
 def _float_rows(rows, field, shape):
     """``rows`` as an array of ``shape``, built in one step; None when any
     check fails, so that the per-entry walk names the bad entry."""
     full = shape + ((2,) if field == COMPLEX else ())
     # int and float entries only: bools, strings and null go to the walk
-    nest = _nest_shape(rows, {float, int}, {list}) if isinstance(rows, list) else None
+    nest = _nest_shape(rows) if isinstance(rows, list) else None
     if nest is None or nest[0] != full:
         return None
     try:
@@ -463,6 +415,8 @@ def _read_json(path):
         return json.loads(io.TextIOWrapper(io.BytesIO(data)).read())
     except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}", field="$") from exc
+    except RecursionError:  # about 1000 levels: stdlib json's recursion limit
+        raise SchemaError(f"{path} is nested too deeply", field="$") from None
 
 
 def load_instance(path, tol_rel=None, tol_abs=None):

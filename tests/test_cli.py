@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import subprocess
@@ -354,14 +355,29 @@ def test_hostile_file(tmp_path, capsys, report_schema, name, data, code, status,
     report_schema(rep)
 
 
-def test_deeply_nested_file_does_not_crash_the_interpreter(tmp_path):
-    # orjson would overflow the C stack here; stdlib json decides the file and
-    # stops at its recursion limit
+def test_deeply_nested_file_does_not_crash_the_interpreter(tmp_path, report_schema):
+    # orjson would overflow the C stack here; stdlib json decides the file, and
+    # its recursion limit ends in a schema_error report
     path = tmp_path / "deep.json"
     path.write_text("[" * 10**6 + "]" * 10**6)
     proc = subprocess.run([sys.executable, "-m", "bisep.cli", "check", str(path)],
                           capture_output=True, text=True)
-    assert proc.returncode == 1 and "RecursionError" in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = json.loads(proc.stdout)
+    assert (report["status"], report["field"]) == ("schema_error", "$")
+    assert "nested too deeply" in report["error"]
+    report_schema(report)
+
+
+def test_non_ascii_report_on_an_ascii_stdout(tmp_path, monkeypatch):
+    # the report names a path orjson writes as UTF-8; stdlib json escapes it
+    out = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="ascii"))
+    path = tmp_path / "caf\u00e9.json"
+    code = main(["gen", "superop", str(path), "--n", "2"])
+    sys.stdout.flush()
+    report = json.loads(out.getvalue())
+    assert (code, report["status"], report["instance_path"]) == (0, "ok", str(path))
 
 
 def test_every_failure_prints_one_report(tmp_path, capsys, monkeypatch, report_schema):

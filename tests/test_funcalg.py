@@ -347,6 +347,20 @@ class TestSeparatingFnSkips:
         assert is_separating_fn(b).status == "separating"
         assert len(calls) == 5  # one nonzero block per input point, not 25
 
+    def test_light_blocks_skip_the_block_checker(self, monkeypatch):
+        import bisep.funcalg
+
+        calls = []
+        checker = bisep.funcalg.is_separating_exact
+        monkeypatch.setattr(bisep.funcalg, "is_separating_exact",
+                            lambda *a, **kw: calls.append(1) or checker(*a, **kw))
+        # every block of the perturbed map is nonzero; only the k phi-blocks
+        # carry mass above half the square root of the threshold
+        T = perturb(gen_pointwise(24, 2, seed=3).map, 1e-6, seed=3)
+        assert is_separating_fn(T).status == "separating"
+        assert len(calls) == 24  # not 576
+        assert _unpruned_separating_fn(T) is None
+
     def test_masks_stay_quadratic_in_k(self):
         # one k x k mask per input point, never a k^3 cube (16 MiB of bools here)
         T = gen_pointwise(256, 1, seed=1).map

@@ -1,4 +1,5 @@
 import decimal
+import functools
 import json
 import math
 from pathlib import Path
@@ -31,9 +32,15 @@ from bisep.instancefile import (
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
 
+# doubles at the edges of the shortest text's layouts: integer-valued with
+# ".0", the decimal/exponent switch at 1e16 and at 1e-5, subnormal, largest
+HAZARD_FLOATS = (0.0, -0.0, 1.0, -3.0, 1e16, 1e17, 5e-324, 1.7976931348623157e308, 0.1,
+                 9999999999999998.0, 1e15, 1e-5, 9.999999999999999e-06, 1.5e-5, 1e-4)
+
+
 class TestDumps:
-    def test_floats_keep_17_significant_digits(self):
-        assert dumps(0.1) == "0.10000000000000001"
+    def test_floats_written_shortest(self):
+        assert dumps(0.1) == "0.1"
 
     def test_floats_always_read_back_as_floats(self):
         text = dumps({"x": 1.0, "y": -3.0})
@@ -58,6 +65,62 @@ class TestDumps:
         with pytest.raises(ValueError):
             dumps(float("nan"))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_next_to_none(self, bad):
+        for obj in ({"path": None, "x": bad}, [None, [1.0, bad]], {"a": np.array([0.5, bad])}):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps(obj)
+
+    def test_none_and_numpy_values_next_to_none(self):
+        obj = {"truth_path": None, "x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(True)}
+        assert json.loads(dumps(obj)) == {"truth_path": None, "x": 0.1, "n": 3, "ok": True}
+
+    def test_strings_written_as_utf8(self):
+        assert dumps({"path": "caf\u00e9/\u2028"}) == '{\n  "path": "caf\u00e9/\u2028"\n}'
+
+    @pytest.mark.parametrize("value", [2**64, -(2**63) - 1, 10**30, "bad\udc80path", {"k": "\udcff"}])
+    def test_what_orjson_refuses_falls_back_and_round_trips(self, value):
+        for obj in (value, {"seed": value, "x": 0.1, "m": [[1.5, -0.0]]}):
+            assert json.loads(dumps(obj)) == obj
+        assert dumps({"seed": value}) == json.dumps({"seed": value}, indent=2)
+
+    @pytest.mark.parametrize("x", HAZARD_FLOATS)
+    def test_hazard_float_tokens_keep_their_bits(self, x):
+        _assert_tokens_keep_bits(np.array([[x, -x], [0.5, x]]))
+
+
+def _assert_tokens_keep_bits(A):
+    """Every float token dumps writes for A, in both fields, reads back through
+    stdlib json as a float with A's bits."""
+    for M in (A, A + 1j * A[::-1]):
+        field = "complex" if np.iscomplexobj(M) else "real"
+        parts = np.stack((M.real, M.imag), -1) if field == "complex" else M
+        text = dumps({"matrix": matrix_to_json(M, field)})
+        tokens = []
+        json.loads(text, parse_float=lambda t: tokens.append(t) or float(t),
+                   parse_int=lambda t: pytest.fail(f"{t} reads back as an int"))
+        back = np.array([float(t) for t in tokens])
+        assert back.tobytes() == parts.ravel().tobytes()  # signed zeros too
+
+
+def _shortest(x):
+    """x as the shortest digits that read back as x (repr's), laid out as orjson
+    lays them out: decimal from 1e-5 up to 1e16, d.ddde<exp> outside."""
+    if x == 0:
+        return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
+    sign, digits, exp = decimal.Decimal(repr(x)).normalize().as_tuple()
+    d = "".join(map(str, digits))
+    kk = len(d) + exp  # 10**(kk - 1) <= |x| < 10**kk
+    if 0 <= exp and kk <= 16:
+        text = d + "0" * exp + ".0"
+    elif 0 < kk <= 16:
+        text = d[:kk] + "." + d[kk:]
+    elif -5 < kk <= 0:
+        text = "0." + "0" * -kk + d
+    else:
+        text = (d[0] + "." + d[1:] if len(d) > 1 else d) + f"e{kk - 1}"
+    return "-" * sign + text
+
 
 def _reference_dumps(obj):
     """The float-by-float renderer whose bytes dumps must reproduce."""
@@ -66,10 +129,7 @@ def _reference_dumps(obj):
         x = float(x)
         if math.isnan(x) or math.isinf(x):
             raise ValueError("non-finite floats cannot be serialized")
-        s = format(x, ".17g")
-        if "." not in s and "e" not in s and "E" not in s:
-            s += ".0"
-        return s
+        return _shortest(x)
 
     def render(node, depth):
         pad = "\n" + "  " * (depth + 1)
@@ -104,10 +164,6 @@ def _reference_matrix_to_json(A, field):
     if field == "complex":
         return [[[float(v.real), float(v.imag)] for v in row] for row in A]
     return [[float(v.real) for v in row] for row in A]
-
-
-# doubles whose %.17g text needs, or just misses, the ".0" suffix
-HAZARD_FLOATS = (0.0, -0.0, 1.0, -3.0, 1e16, 1e17, 5e-324, 1.7976931348623157e308, 0.1)
 
 
 class TestDumpsMatchesReference:
@@ -194,6 +250,8 @@ class TestDumpsMatchesReference:
         assert dumps({"blocks": blocks}) == _reference_dumps({"blocks": blocks})
         back = matrix_from_json(json.loads(text)["matrix"], field, M.shape, "matrix")
         assert back.dtype == M.dtype and back.tobytes() == M.tobytes()  # signed zeros too
+        if field == "real":
+            _assert_tokens_keep_bits(A)
 
 
 class TestInstanceRoundTrip:
@@ -771,3 +829,76 @@ class TestAgainstShippedSchemas:
         obj["vec_convention"] = "row-major"
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(obj, schema)
+
+
+# the report schema's scalar and matrix before they were written as one
+# subschema without oneOf and $ref
+_ONE_OF_DEFS = {
+    "scalar": {
+        "oneOf": [
+            {"type": "number"},
+            {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
+        ]
+    },
+    "matrix": {
+        "type": "array",
+        "items": {"type": "array", "items": {"$ref": "#/$defs/scalar"}},
+    },
+}
+
+_json_leaves = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)
+                | st.text(max_size=2))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, min_size=1, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=10,
+)
+# would-be scalars (numbers, bools, lists of 1, 2 or 3 items, nesting) and
+# matrices of them, most of whose entries are numbers or lists of 2 or 3 numbers
+_numbers = st.integers(-3, 3) | st.floats(-2, 2)
+_scalar_like = (_json_leaves | st.lists(_numbers, min_size=1, max_size=3)
+                | st.lists(_json_leaves, min_size=1, max_size=3)
+                | st.lists(st.lists(st.floats(-2, 2), max_size=2), max_size=2))
+_pair_like = _numbers | st.lists(_numbers, min_size=2, max_size=3)
+_matrix_like = (st.lists(st.lists(_pair_like, min_size=1, max_size=3), min_size=1, max_size=2)
+                | st.lists(st.lists(_scalar_like, max_size=3), max_size=2))
+
+
+class TestReportScalarSchema:
+    """The report schema's scalar is one subschema of type number or array; it
+    accepts exactly what the oneOf of a number and an [re, im] pair accepted."""
+
+    @staticmethod
+    @functools.cache
+    def _validators():
+        jsonschema = pytest.importorskip("jsonschema")
+        text = (SCHEMA_DIR / "report.schema.json").read_text()
+        new, old = json.loads(text), json.loads(text)
+        old["$defs"].update(_ONE_OF_DEFS)
+        cls = jsonschema.validators.validator_for(new)
+        return cls(old), cls(new)
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=st.one_of(_json_values, _scalar_like, _matrix_like),
+           position=st.sampled_from(["alpha", "S", "A"]))
+    def test_old_and_new_schema_agree(self, value, position):
+        old, new = self._validators()
+        report = {"command": "check", "status": "ok", "elapsed_ms": 1.0}
+        if position == "A":
+            report["counterexample"] = {"product_in_norm": 0.0, "violation_norm": 0.0, "A": value}
+        else:
+            report[position] = value
+        assert old.is_valid(report) == new.is_valid(report)
+
+    def test_both_verdicts_occur(self):
+        old, new = self._validators()
+        for value, valid in ((1, True), (0.5, True), ([1, 2.5], True), ([1, 2, 3], False),
+                             ([1], False), (True, False), ([True, 1], False), ("1", False),
+                             (None, False), ([[1, 2]], False)):
+            report = {"command": "check", "status": "ok", "elapsed_ms": 1.0, "alpha": value}
+            assert old.is_valid(report) == new.is_valid(report) == valid, value
+        for S, valid in (([[1, [2, 3]]], True), ([[1, [2, 3, 4]]], False), ([[[1]]], False),
+                         ([[[1, [2]]]], False), ([[1, [True, 2]]], False)):
+            report = {"command": "check", "status": "ok", "elapsed_ms": 1.0, "S": S}
+            assert old.is_valid(report) == new.is_valid(report) == valid, S
