@@ -6,7 +6,8 @@ outcome through the exit code:
     0   property holds / decomposition succeeded
     1   I/O, schema or parameter error
     2   property fails (a witness is in the report) or recovery rejected
-    3   the map is not invertible
+    3   the map is separating but not invertible (for both map kinds, a map
+        that is neither exits 2 with the forward witness)
 
 Each ``cmd_*`` fills in the report ``main`` hands it; ``main`` maps a raised
 error to the report's status and prints the report once.  Bad arguments are
@@ -84,6 +85,8 @@ _ERROR_STATUS = ((SchemaError, "schema_error"), (ValueError, "invalid_params"),
 def cmd_check(args, report):
     report["seed"] = args.seed
     T = load_instance(args.path, tol_rel=args.tol, tol_abs=args.tol_abs)
+    if args.sampled is not None and not isinstance(T, Superoperator):
+        raise ValueError("--sampled needs kind 'superop'")
     sampled = None
     if isinstance(T, Superoperator):
         verdict = is_biseparating(T)
@@ -331,7 +334,7 @@ def build_parser():
     p.add_argument("path")
     add_tols(p)
     p.add_argument("--sampled", type=positive_int, default=None, metavar="TRIALS",
-                   help="additionally run the Monte-Carlo checker with this many trials")
+                   help="also run the Monte-Carlo checker with this many trials (superop only)")
     p.add_argument("--seed", type=int, default=0, help="seed for --sampled")
 
     p = sub.add_parser("decompose", help="recover the conjugation/pointwise form of an instance")

@@ -42,13 +42,10 @@ from .errors import (
 )
 from .linalg import frob, invert, numeric_rank
 from .separating import (
-    BISEPARATING,
-    FORWARD,
-    INVERSE,
-    NOT_INVERTIBLE,
     NOT_SEPARATING,
     SEPARATING,
     Verdict,
+    biseparating,
     is_separating_exact,
 )
 from .structure import ConjugationForm, recover_conjugation, unit_deviations
@@ -372,26 +369,15 @@ def is_separating_fn(T: BigSuperoperator) -> Verdict:
 
 
 def is_biseparating_fn(T: BigSuperoperator) -> Verdict:
-    """Separating check on T, then on its inverse, then strict separation.
-
-    Returns BISEPARATING; NOT_SEPARATING with direction FORWARD or INVERSE;
-    NOT_INVERTIBLE when the forward check passes and T has no inverse; or
-    NOT_STRICTLY_SEPARATING with a strict-check witness.
-    """
-    forward = is_separating_fn(T)
-    if not forward:
-        return Verdict(NOT_SEPARATING, counterexample=forward.counterexample, direction=FORWARD)
-    try:
-        T_inv = inverse_fn(T)
-    except SingularMatrix:
-        return Verdict(NOT_INVERTIBLE)
-    backward = is_separating_fn(T_inv)
-    if not backward:
-        return Verdict(NOT_SEPARATING, counterexample=backward.counterexample, direction=INVERSE)
-    strict = is_strictly_separating(T)
-    if not strict:
-        return Verdict(NOT_STRICTLY_SEPARATING, counterexample=strict.counterexample)
-    return Verdict(BISEPARATING)
+    """:func:`separating.biseparating` with the block checker and the block
+    inverse, then strict separation: NOT_STRICTLY_SEPARATING with a
+    strict-check witness when a biseparating map fails it."""
+    verdict = biseparating(T, is_separating_fn, inverse_fn)
+    if verdict:
+        strict = is_strictly_separating(T)
+        if not strict:
+            return Verdict(NOT_STRICTLY_SEPARATING, counterexample=strict.counterexample)
+    return verdict
 
 
 def recover_pointwise(T: BigSuperoperator) -> PointwiseForm:

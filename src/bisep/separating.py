@@ -332,18 +332,25 @@ def is_separating_sampled(T: Superoperator, trials: int, seed) -> Verdict:
     return Verdict(SEPARATING)
 
 
-def is_biseparating(T: Superoperator) -> Verdict:
-    """Separating check on T and on T^{-1}; NOT_INVERTIBLE when no inverse exists."""
-    if not T.is_endo:
-        return Verdict(NOT_INVERTIBLE)
+def biseparating(T, is_separating, inverse) -> Verdict:
+    """The biseparating decision for both map kinds, in this order: T separating
+    (else NOT_SEPARATING, FORWARD), T invertible (else NOT_INVERTIBLE: ``inverse``
+    raised SingularMatrix), T^{-1} separating (else NOT_SEPARATING, INVERSE); then
+    BISEPARATING.  A map that is neither separating nor invertible thus gets the
+    forward witness, and only a separating map is inverted."""
+    forward = is_separating(T)
+    if not forward:
+        return Verdict(NOT_SEPARATING, counterexample=forward.counterexample, direction=FORWARD)
     try:
         T_inv = inverse(T)
     except SingularMatrix:
         return Verdict(NOT_INVERTIBLE)
-    forward = is_separating_exact(T)
-    if not forward:
-        return Verdict(NOT_SEPARATING, counterexample=forward.counterexample, direction=FORWARD)
-    backward = is_separating_exact(T_inv)
+    backward = is_separating(T_inv)
     if not backward:
         return Verdict(NOT_SEPARATING, counterexample=backward.counterexample, direction=INVERSE)
     return Verdict(BISEPARATING)
+
+
+def is_biseparating(T: Superoperator) -> Verdict:
+    """:func:`biseparating` with the exact checker and the superoperator inverse."""
+    return biseparating(T, is_separating_exact, inverse)

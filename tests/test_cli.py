@@ -15,6 +15,7 @@ from bisep.cli import main
 from bisep.instancefile import MAX_ENTRIES, instance_to_json, load_truth, save_instance
 from bisep import Superoperator, gen_conjugation, gen_pointwise, gen_transpose
 from bisep.errors import DimensionMismatch
+from bisep.superop import apply
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -160,24 +161,45 @@ class TestCheckOutcomes:
         code, rep = run_cli(capsys, "check", inst2)
         assert code == 3 and rep["status"] == "not_invertible"
 
-    def test_rank_deficient_exits_3(self, tmp_path, capsys, report_schema):
+    def test_rank_deficient_exits_2_with_forward_witness(self, tmp_path, capsys, report_schema):
+        # neither separating nor invertible: the forward check runs first
         T = gen_conjugation(2, seed=3).map
         mat = T.mat.copy()
         mat[:, 0] = 0.0
+        T = Superoperator(n_in=2, n_out=2, mat=mat)
         inst = tmp_path / "sing.json"
-        save_instance(inst, Superoperator(n_in=2, n_out=2, mat=mat))
+        save_instance(inst, T)
         code, rep = run_cli(capsys, "check", inst)
-        assert code == 3 and rep["status"] == "not_invertible"
+        assert code == 2 and rep["status"] == "not_separating" and rep["direction"] == "forward"
+        A, B = np.array(rep["counterexample"]["A"]), np.array(rep["counterexample"]["B"])
+        assert np.all(A @ B == 0)
+        violation = np.linalg.norm(apply(T, A) @ apply(T, B))
+        assert violation == pytest.approx(rep["counterexample"]["violation_norm"])
+        assert violation > 1e-9 * np.linalg.norm(mat, axis=0).max() ** 2
         report_schema(rep)
 
-    @pytest.mark.parametrize("kind", ["superop", "big_superop", "scaled_identity"])
+    def test_tiny_basis_image_exits_2_with_forward_witness(self, tmp_path, capsys, report_schema):
+        # full rank at these tolerances and its inverse too large to admit, but
+        # one basis image 1e-200 times the others already fails the forward check
+        T = Superoperator(n_in=2, n_out=2, mat=np.diag([1.0, 1e-200, 1.0, 1.0]))
+        inst = tmp_path / "tiny.json"
+        save_instance(inst, T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_cli(capsys, "check", inst, "--tol", "1e-300", "--tol-abs", "1e-300")
+        assert code == 2 and rep["status"] == "not_separating" and rep["direction"] == "forward"
+        A, B = np.array(rep["counterexample"]["A"]), np.array(rep["counterexample"]["B"])
+        assert np.all(A @ B == 0)
+        assert np.linalg.norm(apply(T, A) @ apply(T, B)) > 0.5
+        report_schema(rep)
+
+    @pytest.mark.parametrize("kind", ["big_superop", "scaled_identity"])
     def test_inverse_too_large_to_admit_exits_3(self, tmp_path, capsys, report_schema, kind):
-        # full rank at these tolerances, but the inverse fails the admission rule
+        # separating and full rank at these tolerances, but the inverse fails
+        # the admission rule
         from bisep import BigSuperoperator, DiscreteSpace
 
-        if kind == "superop":
-            T = Superoperator(n_in=2, n_out=2, mat=np.diag([1.0, 1e-200, 1.0, 1.0]))
-        elif kind == "scaled_identity":  # separating, so only the inverse is refused
+        if kind == "scaled_identity":
             T = Superoperator(n_in=2, n_out=2, mat=1e-200 * np.eye(4))
         else:
             T = BigSuperoperator(space_in=DiscreteSpace(("x",)), space_out=DiscreteSpace(("y",)),
@@ -196,6 +218,15 @@ class TestCheckOutcomes:
         code, rep = run_cli(capsys, "check", inst, "--sampled", 500, "--seed", 7)
         assert code == 0
         assert rep["sampled_status"] == "separating"
+
+    def test_sampled_flag_on_a_block_map_is_invalid(self, tmp_path, capsys, report_schema):
+        inst = tmp_path / "big.json"
+        run_cli(capsys, "gen", "big_superop", inst, "--k", 2, "--n", 2, "--seed", 4)
+        code, rep = run_cli(capsys, "check", inst, "--sampled", 100, "--seed", 4)
+        assert code == 1 and rep["status"] == "invalid_params"
+        assert rep["error"] == "--sampled needs kind 'superop'"
+        assert "sampled_status" not in rep
+        report_schema(rep)
 
 
 class TestSchemaFailures:

@@ -11,6 +11,7 @@ from bisep import (
     NotLocal,
     PhiNotBijective,
     PointwiseForm,
+    Superoperator,
     ai_membership,
     apply_fn,
     conjugation_superop,
@@ -20,6 +21,7 @@ from bisep import (
     gen_pointwise,
     gen_transpose,
     inverse_fn,
+    is_biseparating,
     is_biseparating_fn,
     is_separating_exact,
     is_separating_fn,
@@ -35,7 +37,7 @@ from bisep import (
 from bisep.errors import DimensionMismatch
 from bisep.separating import BISEPARATING, FORWARD, NOT_INVERTIBLE, NOT_SEPARATING
 from bisep.funcalg import _best_unit, _matrix_unit, _reach, constant_fn, multiply
-from bisep.linalg import frob, kernel_basis, numeric_rank
+from bisep.linalg import frob, gaussian, kernel_basis, numeric_rank
 from bisep.superop import basis_image_array, image_scale
 
 CFG = FieldConfig()
@@ -627,6 +629,25 @@ class TestVerifyPointwise:
         assert verify_pointwise(T, form) <= 1e-14
 
 
+def _cross_kind_maps():
+    """(name, superoperator) over both fields and n_in, n_out in 1..3."""
+    for field in ("real", "complex"):
+        cfg = FieldConfig(field=field)
+        for n in (1, 2, 3):
+            conj = gen_conjugation(n, n, cfg=cfg).map
+            yield f"conjugation {field} n={n}", conj
+            mat = conj.mat.copy()
+            mat[:, 0] = 0.0  # one basis image zeroed: neither separating nor invertible
+            yield f"zeroed conjugation {field} n={n}", Superoperator(n, n, mat, cfg)
+            for eps in (1e-12, 1e-6, 1e-3):
+                yield f"perturb:{eps} {field} n={n}", perturb(conj, eps, n)
+            yield f"transpose {field} n={n}", gen_transpose(n, cfg)
+            for n_out in (1, 2, 3):
+                for seed in (0, 1):
+                    mat = gaussian(np.random.default_rng(seed), (n_out**2, n**2), cfg)
+                    yield f"random {field} {n}->{n_out} seed={seed}", Superoperator(n, n_out, mat, cfg)
+
+
 class TestSharedWithSuperop:
     def test_stacked_basis_images_equal_per_block_images(self):
         T = perturb(gen_point_mixing(3, 2, seed=4, cfg=FieldConfig(field="complex")), 1e-3, seed=4)
@@ -649,6 +670,22 @@ class TestSharedWithSuperop:
             form = recover_conjugation(T)
             pointwise = PointwiseForm(phi={"p": "p"}, alphas={"p": form.alpha}, S={"p": form.S})
             assert verify_pointwise(big, pointwise) == verify_form(T, form)
+
+    def test_one_point_map_gets_its_superops_biseparating_verdict(self):
+        # the one decision order serves both kinds: a superop and the block map
+        # with it as its only block get one status, direction and certificate
+        seen = set()
+        for name, T in _cross_kind_maps():
+            big = BigSuperoperator(space_in=DiscreteSpace(("x",)), space_out=DiscreteSpace(("y",)),
+                                   n_in=T.n_in, n_out=T.n_out, blocks=T.mat[None, None], cfg=T.cfg)
+            op, fn = is_biseparating(T), is_biseparating_fn(big)
+            assert (fn.status, fn.direction) == (op.status, op.direction), name
+            assert (fn.counterexample is None) == (op.counterexample is None), name
+            if op.counterexample is not None:
+                np.testing.assert_array_equal(fn.counterexample.F1.values[0], op.counterexample.A)
+                np.testing.assert_array_equal(fn.counterexample.F2.values[0], op.counterexample.B)
+            seen.add((op.status, op.direction))
+        assert seen == {(BISEPARATING, None), (NOT_INVERTIBLE, None), (NOT_SEPARATING, FORWARD)}
 
 
 def test_bridge_algebraic_implies_strict_small():

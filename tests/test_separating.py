@@ -258,10 +258,16 @@ class TestBiseparating:
         assert verdict.counterexample is not None
 
     def test_rank_deficient(self):
+        # neither separating nor invertible: the forward check runs first
         T = conjugation_superop(1.0, np.eye(2), CFG)
         mat = T.mat.copy()
         mat[:, 0] = 0.0  # zero out one basis image
-        assert is_biseparating(Superoperator(n_in=2, n_out=2, mat=mat)).status == NOT_INVERTIBLE
+        T = Superoperator(n_in=2, n_out=2, mat=mat)
+        verdict = is_biseparating(T)
+        assert verdict.status == NOT_SEPARATING and verdict.direction == "forward"
+        ce = verdict.counterexample
+        assert np.all(ce.A @ ce.B == 0)
+        assert frob(apply(T, ce.A) @ apply(T, ce.B)) == ce.violation_norm > CFG.tol_rel
 
     def test_non_endomorphism(self):
         T = Superoperator(n_in=2, n_out=3, mat=np.zeros((9, 4)))
