@@ -52,8 +52,6 @@ from .separating import (
     is_biseparating,
     is_separating_exact,
     is_separating_sampled,
-    random_zero_product_pair,
-    scalar_identity_test,
 )
 from .structure import (
     ConjugationForm,

@@ -6,8 +6,10 @@ outcome through the exit code:
     0   property holds / decomposition succeeded
     1   I/O, schema or parameter error
     2   property fails (a witness is in the report) or recovery rejected
-    3   the map is separating but not invertible (for both map kinds, a map
-        that is neither exits 2 with the forward witness)
+    3   the map is separating but not invertible by the rank rule (for both
+        map kinds, a map that is neither exits 2 with the forward witness;
+        a superop that ``decompose`` recovers is invertible and never exits
+        3, whatever its condition number)
 
 Each ``cmd_*`` fills in the report ``main`` hands it; ``main`` maps a raised
 error to the report's status and prints the report once.  Bad arguments are
@@ -30,7 +32,6 @@ from .funcalg import (
     is_biseparating_fn,
     is_strictly_separating,
     recover_pointwise,
-    verify_pointwise,
 )
 from .harness import (
     DEFAULT_ALPHA_RANGE,
@@ -65,7 +66,7 @@ from .separating import (
     is_biseparating,
     is_separating_sampled,
 )
-from .structure import recover_conjugation, verify_form
+from .structure import recover_conjugation
 from .superop import Superoperator
 
 EXIT_OK = 0
@@ -117,15 +118,10 @@ def cmd_check(args, report):
 def cmd_decompose(args, report):
     T = load_instance(args.path, tol_rel=args.tol, tol_abs=args.tol_abs)
     try:
-        if isinstance(T, Superoperator):
-            form = recover_conjugation(T)
-            residual = verify_form(T, form)
-        else:
-            form = recover_pointwise(T)
-            residual = verify_pointwise(T, form)
+        form = recover_conjugation(T) if isinstance(T, Superoperator) else recover_pointwise(T)
         report["status"] = "ok"
         report.update(form_to_json(form, T.cfg.field))
-        report["residual"] = residual
+        report["residual"] = form.residual
         return EXIT_OK
     except RecoveryError as exc:
         report["status"] = exc.step
@@ -232,21 +228,20 @@ def cmd_roundtrip(args, report):
             if len(failed_cases) < 20:
                 failed_cases.append(name)
 
-    def positive(name, bundle, decide, recover, verify):
-        """Decide, recover and verify a generated positive after a JSON round trip."""
+    def positive(name, bundle, decide, recover):
+        """Decide and recover a generated positive after a JSON round trip."""
         nonlocal worst_residual, worst_truth_err
         T = _json_cycle(bundle.map, args.tol, args.tol_abs)
         ok = decide(T).status == BISEPARATING
         try:
             form = recover(T)
-            residual = verify(T, form)
         except (RecoveryError, SingularMatrix):
             record(name, False)
             return
         same_phi, err = _compare_truth(form, bundle.ground_truth)
-        worst_residual = max(worst_residual, residual)
+        worst_residual = max(worst_residual, form.residual)
         worst_truth_err = max(worst_truth_err, err)
-        record(name, ok and residual <= args.tol and same_phi and err <= truth_gate)
+        record(name, ok and form.residual <= args.tol and same_phi and err <= truth_gate)
 
     def negative(name, instance, decide):
         """A curated negative must fail with a certificate after a JSON round trip."""
@@ -257,14 +252,14 @@ def cmd_roundtrip(args, report):
         for n in range(1, args.max_n + 1):
             for seed in range(args.seeds):
                 positive(f"superop n={n} seed={seed}", gen_conjugation(n, seed, cfg=cfg),
-                         is_biseparating, recover_conjugation, verify_form)
+                         is_biseparating, recover_conjugation)
         for n in range(2, args.max_n + 1):
             negative(f"transpose n={n}", gen_transpose(n, cfg), is_biseparating)
         for k in range(1, args.max_k + 1):
             for n in range(1, min(3, args.max_n) + 1):
                 for seed in range(args.seeds):
                     positive(f"big k={k} n={n} seed={seed}", gen_pointwise(k, n, seed, cfg=cfg),
-                             is_biseparating_fn, recover_pointwise, verify_pointwise)
+                             is_biseparating_fn, recover_pointwise)
         for k in range(2, args.max_k + 1):
             negative(f"mixing k={k}", gen_point_mixing(k, 2, k, cfg), is_strictly_separating)
 

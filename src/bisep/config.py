@@ -4,9 +4,12 @@ Two rules decide what is zero.  A quantity x at context scale s is zero
 iff ``|x| <= tol_abs + tol_rel * s`` (:meth:`FieldConfig.threshold`).  The
 numeric rank of a matrix (``linalg.numeric_rank``, also behind inversion,
 kernels and rank-one factors) counts its singular values above
-``tol_rel * sigma_1``, and is 0 when ``sigma_1 <= tol_abs``; so a matrix
-with condition number >= 1/tol_rel counts as singular.  Functions that take
-a map read both tolerances from the map's ``cfg``.
+``tol_rel * sigma_1``, and is 0 when ``sigma_1 <= tol_abs``; so ``invert``
+counts a matrix with condition number >= 1/tol_rel as singular.  The
+biseparating decision overrules that for a map whose conjugation form
+``recover_conjugation`` recovers (``separating.is_biseparating``): the form
+shows the map is invertible whatever its condition number.  Functions that
+take a map read both tolerances from the map's ``cfg``.
 
 :meth:`FieldConfig.asarray`, through which every map and matrix enters, admits
 an array only if its entries are finite and twice its squared Frobenius norm

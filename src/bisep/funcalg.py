@@ -25,7 +25,7 @@ it holds iff the reach sets {x2 : block (x2, x1) is nonzero} are
 pairwise disjoint across input points.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -177,11 +177,14 @@ class PointwiseForm:
 
     ``phi`` maps output labels to input labels; ``alphas`` and ``S`` are
     keyed by output label, each S_x in the ConjugationForm gauge.
+    ``residual`` is :func:`verify_pointwise`'s value, measured when the form
+    was recovered (None for a given form).
     """
 
     phi: dict[str, str]
     alphas: dict[str, complex | float]
     S: dict[str, np.ndarray]
+    residual: float | None = field(default=None, compare=False)
 
     def point_form(self, label) -> ConjugationForm:
         return ConjugationForm(alpha=self.alphas[label], S=self.S[label])
@@ -422,7 +425,7 @@ def recover_pointwise(T: BigSuperoperator) -> PointwiseForm:
         raise NotStandardForm(
             f"pointwise residual {residual:.3e} exceeds tolerance", residual=residual
         )
-    return form
+    return replace(form, residual=residual)
 
 
 def verify_pointwise(T: BigSuperoperator, form: PointwiseForm) -> float:

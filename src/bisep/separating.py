@@ -93,15 +93,78 @@ product that already rejects a perturbed map, since beta >=
 h_01 h_10 - h_00 comes next, one more product that rejects a transpose
 (for which h_00 is idempotent), since beta >= max(||h_01||, ||h_10||)^2
 ||e1_11|| ||N||_2^2.  On accept the time is O(n^2 m^3).
+
+Form first.  A bijective zero-product preserving linear map of M_n is
+c Ad_S (Chebotar, Ke, Lee, Wong, Studia Math. 2003; the source paper
+proves the operator-algebra version), so a certified form already
+decides "biseparating": alpha Ad_S is invertible with the separating
+inverse alpha^{-1} Ad_{S^{-1}}.  :func:`is_biseparating` therefore first
+reads the form off the basis images (``structure.fit_conjugation``: the
+columns of S from T(E_i1), alpha from T(I), one residual pass).  A map
+that is not a conjugation stops early: a perturbed one at the rank of
+T(E_11), one m x m SVD; a transpose at the second column of S.  The form
+certifies when its residual is within tol_rel.  Two bounds then stand in
+for the walks on T and on T^{-1}; where one does not clear, its check
+runs as before, except that a certified T which ``inverse`` refuses (the
+rank rule caps cond(T) = cond(S)^2 at 1/tol_rel) is BISEPARATING.  Where
+the bound on T^{-1} does not clear, the form certifies only if every unit
+image also has rank one, as ``recover_conjugation`` asks: the residual is
+relative to the largest image, and perturbing T(E_ij) = (s_i / s_j) E_ij
+of S = diag(1, 1e5) by 1e-12 leaves the residual below 1e-12 but T(E_12)
+of rank two.
+
+The bound on T.  Write Y for the computed inverse of S (Y is not exact),
+R = Y S - I, mod_ia = alpha S E_ia Y, D = max ||im_ia - mod_ia|| and
+M_0 = max ||mod_ia|| = |alpha| max_i ||S e_i|| max_l ||e_l^T Y||.  Since
+mod_ia mod_bl = alpha^2 S E_ia (I + R) E_bl Y,
+
+  im_ia im_bl = delta_ab alpha^2 S E_il Y + alpha^2 R_ab S E_il Y
+                + (im_ia - mod_ia) im_bl + mod_ia (im_bl - mod_bl),
+
+and ||alpha^2 R_ab S E_il Y|| <= |alpha| M_0 ||R||.  So an entry off the
+diagonal (a != b) is at most D (M + M_0) + |alpha| M_0 ||R||, a difference
+of two diagonal ones at most twice that, and with the walk's rounding
+g M^2 per entry every mask bit is clear when
+2 (D (M + M_0) + |alpha| M_0 ||R|| + g M^2) < thr.  (|alpha| M_0 ||R|| is
+at most M_0^2 ||R|| once max ||S e_i|| max ||e_l^T Y|| >= 1.)
+
+The bound on T^{-1}, without inverting T.  Let F = alpha Ad_S, which maps
+X to alpha S X Y, G = alpha^{-1} Ad_Y, which maps X to alpha^{-1} Y X S,
+R_1 = S Y - I, E = T - F, and read operator norms on the vectorised
+matrices.  Then F G X = (I + R_1) X (I + R_1), so T G = I + Delta with
+||Delta|| <= 2 ||R_1|| + ||R_1||^2 + ||E|| ||G|| = delta, where
+||E|| <= ||E||_F = ||(D_ia)|| (the unit deviations) and ||G|| =
+||S||_2 ||Y||_2 / |alpha|.  If delta < 1, T is invertible and
+T^{-1} - G = -G Delta (I + Delta)^{-1}, so each unit image of T^{-1} is
+within D_1 = ||G|| (2 ||R_1|| + ||R_1||^2 + ||E|| M_1 + delta^2 / (1 - delta))
+of G(E_ia) = alpha^{-1} Y E_ia S, where M_1 = max ||G(E_ia)|| =
+max ||Y e_i|| max ||e_l^T S|| / |alpha| (||E G(E_ia)|| <= ||E|| M_1).  G is
+the form (alpha^{-1}, Y) with inverse S and R_1 in place of R, and the
+image scale of T^{-1} lies within D_1 of M_1; so the bound on T, read for
+T^{-1}, clears its walk when 2 (D_1 (2 M_1 + D_1) + M_1 ||R_1|| / |alpha| +
+g (M_1 + D_1)^2) < tol_abs + tol_rel (M_1 - D_1)^2.  It bounds the walk on
+the exact T^{-1}; the fallback walks a computed inverse, whose rounding
+the bound does not cover.  Conjugations with cond(S) near 100 at n = 14
+reach about half this threshold; one with cond(S) = 1e3 does not clear it.
+
+Rounding, bounded as for the fast accept: the computed model
+alpha (S_pi Y_jq) carries two products per entry, a relative error below
+6 eps over both fields, so the true D is at most the computed one plus
+6 eps M_0, and ||E||_F at most its computed value plus 6 n eps M_0;
+||R|| and ||R_1|| gain g ||Y|| ||S|| (one product each, g = (n + 3) eps);
+and each computed norm, maximum and spectral norm and the at most six
+factors of a term carry relative errors below (n^2 + 4) eps, so each
+test multiplies its left side by 1 + 8 (n^2 + 4) eps.  Everything is
+O(n^4), linear in the size of T, where the inverse costs O(n^6).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FieldConfig
-from .errors import InfeasibleRanks, SingularMatrix
+from .errors import InfeasibleRanks, RecoveryError, SingularMatrix
 from .linalg import _rank, frob, gaussian
+from .structure import check_rank_one_preserving, fit_conjugation
 from .superop import Superoperator, apply, basis_image_array, image_scale, inverse
 
 SEPARATING = "separating"
@@ -153,17 +216,6 @@ def _scalar_violations(M, thr):
     if not (off.any() or diag.any()):
         return np.empty(0, dtype=np.intp)  # a clear block costs no stack and no scan
     return np.flatnonzero(np.stack((off, diag), axis=-1))
-
-
-def scalar_identity_test(M, cfg: FieldConfig, scale: float):
-    """Decide whether M is a scalar multiple of the identity at tolerance.
-
-    Returns (is_scalar, c) with c the mean of the diagonal.  Off-diagonal
-    entries and pairwise diagonal differences are compared against
-    ``tol_abs + tol_rel * scale``.
-    """
-    M = np.asarray(M)
-    return not _scalar_violations(M, cfg.threshold(scale)).size, np.diagonal(M).mean()
 
 
 def _unit(n, i, dtype):
@@ -274,15 +326,6 @@ def _standard_pairs(n, rng, rank_a, rank_b, count, cfg):
     return A, B
 
 
-def random_zero_product_pair(n, rank_a, rank_b, seed, cfg: FieldConfig | None = None):
-    """Seeded random pair (A, B) with A @ B = 0 to machine precision and the
-    requested numeric ranks."""
-    cfg = cfg or FieldConfig()
-    rng = np.random.default_rng(seed)
-    A, B = _standard_pairs(n, rng, rank_a, rank_b, 1, cfg)
-    return A[0], B[0]
-
-
 def _feasible_splits(n):
     return [(ra, rb) for ra in range(1, n) for rb in range(1, n - ra + 1)]
 
@@ -332,19 +375,73 @@ def is_separating_sampled(T: Superoperator, trials: int, seed) -> Verdict:
     return Verdict(SEPARATING)
 
 
-def biseparating(T, is_separating, inverse) -> Verdict:
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan bounds decide nothing
+def _form_bounds(T: Superoperator):
+    """None when T has no form with residual within tol_rel, or when the bound
+    on T^{-1} does not clear and a unit image is above rank one; else the
+    certified form's deviation bounds over the walk's thresholds, on T and on
+    T^{-1} (module docstring).  A bound below 1 clears its walk."""
+    if not T.is_endo or not T.n_in:
+        return None
+    im = basis_image_array(T.mat)
+    try:
+        form, Y, dev, M = fit_conjugation(T, im)
+    except (RecoveryError, SingularMatrix):
+        return None
+    if not form.residual <= T.cfg.tol_rel:
+        return None
+    n, S, a = T.n_in, form.S, abs(form.alpha)
+    eps = np.finfo(np.float64).eps
+    g = (n + 3) * eps
+    I = np.eye(n)
+    S_cols, S_rows = np.linalg.norm(S, axis=0).max(), np.linalg.norm(S, axis=1).max()
+    Y_cols, Y_rows = np.linalg.norm(Y, axis=0).max(), np.linalg.norm(Y, axis=1).max()
+    # T against alpha Ad_S, with the model's rounding added to D
+    M0 = a * S_cols * Y_rows
+    D = float(dev.max()) + 6 * eps * M0
+    R = frob(Y @ S - I) + g * frob(Y) * frob(S)
+    forward = 2 * (D * (M + M0) + a * M0 * R + g * M**2)
+    # T^{-1} against alpha^{-1} Ad_Y, whose unit images are at most M1
+    M1 = Y_cols * S_rows / a
+    R1 = frob(S @ Y - I) + g * frob(S) * frob(Y)
+    E = frob(dev) + 6 * n * eps * M0  # >= ||T - alpha Ad_S||_2
+    gamma = np.linalg.norm(S, 2) * np.linalg.norm(Y, 2) / a  # ||alpha^{-1} Ad_Y||_2
+    delta = 2 * R1 + R1**2 + E * gamma
+    D1 = gamma * (2 * R1 + R1**2 + E * M1 + delta**2 / (1 - delta)) if delta < 1 else np.inf
+    backward = 2 * (D1 * (2 * M1 + D1) + M1 * R1 / a + g * (M1 + D1) ** 2)
+    k = 1 + 8 * (n * n + 4) * eps
+    cfg = T.cfg
+    bounds = forward * k / cfg.threshold(M**2), backward * k / cfg.threshold(max(M1 - D1, 0.0) ** 2)
+    # where the inverse is left to the fallback, a refused inverse takes the form's
+    # word for invertibility: give it only for a form that recover_conjugation recovers
+    if not bounds[1] < 1 and not check_rank_one_preserving(T):
+        return None
+    return bounds
+
+
+def biseparating(T, is_separating, inverse, form_bounds=None) -> Verdict:
     """The biseparating decision for both map kinds, in this order: T separating
     (else NOT_SEPARATING, FORWARD), T invertible (else NOT_INVERTIBLE: ``inverse``
     raised SingularMatrix), T^{-1} separating (else NOT_SEPARATING, INVERSE); then
     BISEPARATING.  A map that is neither separating nor invertible thus gets the
-    forward witness, and only a separating map is inverted."""
-    forward = is_separating(T)
-    if not forward:
-        return Verdict(NOT_SEPARATING, counterexample=forward.counterexample, direction=FORWARD)
+    forward witness, and only a separating map is inverted.
+
+    ``form_bounds``, when given, is a certified shortcut into that order: it
+    returns None when T has no certified form, else the form's bounds on T and
+    on T^{-1} over their walks' thresholds.  A bound below 1 stands in for its
+    check, which would find T, or T^{-1}, separating.  A certified form also
+    makes T invertible, so where ``inverse`` refuses T it is BISEPARATING."""
+    bounds = form_bounds(T) if form_bounds else None
+    if bounds is None or not bounds[0] < 1:
+        forward = is_separating(T)
+        if not forward:
+            return Verdict(NOT_SEPARATING, counterexample=forward.counterexample, direction=FORWARD)
+    if bounds is not None and bounds[1] < 1:
+        return Verdict(BISEPARATING)
     try:
         T_inv = inverse(T)
     except SingularMatrix:
-        return Verdict(NOT_INVERTIBLE)
+        return Verdict(NOT_INVERTIBLE if bounds is None else BISEPARATING)
     backward = is_separating(T_inv)
     if not backward:
         return Verdict(NOT_SEPARATING, counterexample=backward.counterexample, direction=INVERSE)
@@ -352,5 +449,6 @@ def biseparating(T, is_separating, inverse) -> Verdict:
 
 
 def is_biseparating(T: Superoperator) -> Verdict:
-    """:func:`biseparating` with the exact checker and the superoperator inverse."""
-    return biseparating(T, is_separating_exact, inverse)
+    """:func:`biseparating` with the certified form first, then the exact checker
+    and the superoperator inverse."""
+    return biseparating(T, is_separating_exact, inverse, _form_bounds)

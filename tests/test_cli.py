@@ -589,3 +589,21 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "biseparating"
+
+
+@pytest.mark.parametrize("kind", ["superop", "big_superop"])
+def test_decompose_reports_the_recovered_residual(tmp_path, capsys, kind):
+    # decompose reports the residual its recovery measured, bit for bit what
+    # verify_form / verify_pointwise compute
+    from bisep import recover_conjugation, recover_pointwise, verify_form, verify_pointwise
+    from bisep.instancefile import load_instance
+
+    inst = tmp_path / "inst.json"
+    run_cli(capsys, "gen", kind, inst, "--n", 3, "--k", 3, "--seed", 4, "--field", "complex")
+    code, rep = run_cli(capsys, "decompose", inst)
+    assert code == 0
+    T = load_instance(str(inst))
+    if kind == "superop":
+        assert rep["residual"] == verify_form(T, recover_conjugation(T))
+    else:
+        assert rep["residual"] == verify_pointwise(T, recover_pointwise(T))

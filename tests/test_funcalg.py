@@ -696,3 +696,11 @@ def test_bridge_algebraic_implies_strict_small():
         assert is_separating_fn(b.map).status == "separating"
         assert is_separating_fn(inverse_fn(b.map)).status == "separating"
         assert is_strictly_separating(b.map).status == "separating"
+
+
+def test_recovered_pointwise_form_carries_verify_pointwises_residual():
+    for field in ("real", "complex"):
+        for k, n, seed in ((1, 1, 0), (3, 2, 1), (4, 3, 2)):
+            T = gen_pointwise(k, n, seed, FieldConfig(field=field)).map
+            form = recover_pointwise(T)
+            assert form.residual == verify_pointwise(T, form)

@@ -21,14 +21,14 @@ from bisep import (
     is_separating_exact,
     is_separating_sampled,
     perturb,
-    random_zero_product_pair,
-    scalar_identity_test,
+    recover_conjugation,
 )
 from bisep import separating
-from bisep.errors import InfeasibleRanks, SingularMatrix
+from bisep.errors import InfeasibleRanks, RecoveryError, SingularMatrix
 from bisep.linalg import frob, numeric_rank
 from bisep.superop import apply, basis_image_array, compose, from_basis_images, image_scale, inverse
-from test_corpus import CORPUS, build
+from separating_helpers import random_zero_product_pair, scalar_identity_test
+from test_corpus import CORPUS, _conditioned_S, build
 
 CFG = FieldConfig()
 
@@ -600,3 +600,106 @@ class TestBlockWalk:
     def test_empty_map_is_biseparating(self, field):
         T = Superoperator(n_in=0, n_out=0, mat=np.zeros((0, 0)), cfg=FieldConfig(field=field))
         assert is_biseparating(T).status == BISEPARATING
+
+
+def _walk_is_clear(T):
+    """True when no basis product of T sets a mask bit of the exact walk, from
+    the whole product tensor P[i, l, p, q, a, b] = [T(E_ia) T(E_bl)]_pq."""
+    im = basis_image_array(T.mat)
+    P = np.einsum("iapr,blrq->ilpqab", im, im)
+    return not _reference_violations(P, T.cfg.threshold(image_scale(im) ** 2)).size
+
+
+def _form_first_family():
+    """Seeded conjugations alpha S A S^-1 with cond(S) = 1 ... 1e6, perturbed
+    by eps = 0 and 1e-14 ... 1e-6, for n = 1 ... 6 over both fields; then the
+    transposes, S = diag(1, cond) perturbed so that T(E_12) = E_12 / cond
+    has rank two while the residual certifies, and the corpus's
+    non-endomorphisms."""
+    for field in ("real", "complex"):
+        cfg = FieldConfig(field=field)
+        for n in range(1, 7):
+            for cond in (1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+                S = _conditioned_S(n, cond, 100 * n + int(np.log10(cond)), cfg)
+                T = conjugation_superop(1.5, S, cfg)
+                for eps in (0.0, 3e-9, *np.geomspace(1e-14, 1e-6, 9)):
+                    yield perturb(T, eps, seed=n)
+            yield gen_transpose(n, cfg)
+        for cond in (1e5, 1e6):
+            T = conjugation_superop(1.0, np.diag([1.0, cond]).astype(cfg.dtype), cfg)
+            yield perturb(T, 1e-12, seed=0)
+    for case in CORPUS["cases"]:
+        if case["recipe"]["map"] == "embed":
+            yield build(case["recipe"])
+
+
+class TestFormFirst:
+    def test_agrees_with_the_order_without_the_form(self):
+        """The form only turns not_invertible into biseparating, and only on
+        maps that recover_conjugation recovers; every other status, direction
+        and certificate is the one the order without the form gives."""
+        flipped = 0
+        for T in _form_first_family():
+            new = is_biseparating(T)
+            old = separating.biseparating(T, is_separating_exact, inverse)
+            if old.status == NOT_INVERTIBLE and new.status == BISEPARATING:
+                recover_conjugation(T)  # raises unless recovered
+                flipped += 1
+                continue
+            assert (new.status, new.direction) == (old.status, old.direction)
+            got, want = new.counterexample, old.counterexample
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
+                assert got.violation_norm == want.violation_norm
+            if new.status == NOT_INVERTIBLE and T.is_endo:
+                with pytest.raises(RecoveryError):
+                    recover_conjugation(T)
+        assert flipped >= 50  # cond(S) >= 1e5 recovers at eps <= 1e-12 for every n
+
+    def test_bounds_accept_only_what_the_walks_accept(self):
+        accepted = [0, 0]
+        gave_up = 0
+        for field in ("real", "complex"):
+            cfg = FieldConfig(field=field)
+            for n in range(1, 7):
+                for cond in (1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+                    S = _conditioned_S(n, cond, 7 * n + int(np.log10(cond)), cfg)
+                    T0 = conjugation_superop(0.7, S, cfg)
+                    for eps in (1e-12, 1e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6):
+                        T = perturb(T0, eps, seed=n + 1)
+                        bounds = separating._form_bounds(T)
+                        if bounds is None:
+                            continue
+                        if bounds[0] < 1:
+                            accepted[0] += 1
+                            assert _walk_is_clear(T)
+                        else:
+                            gave_up += 1
+                        if bounds[1] < 1:
+                            accepted[1] += 1
+                            assert _walk_is_clear(inverse(T))
+        # both bounds decide some maps, and some certified forms are left to the walks
+        assert min(accepted) >= 100 and gave_up
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_conjugations_are_decided_without_a_walk_or_an_inverse(self, field, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a walk or an inverse ran")
+
+        monkeypatch.setattr(separating, "is_separating_exact", refuse)
+        monkeypatch.setattr(separating, "inverse", refuse)
+        cfg = FieldConfig(field=field)
+        for n in range(1, 11):
+            assert is_biseparating(gen_conjugation(n, seed=n, cfg=cfg).map).status == BISEPARATING
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_cond_capped_conjugations_are_biseparating(self, field):
+        # cond(T) = cond(S)^2 >= 1 / tol_rel: the rank rule refuses T, the form does not
+        cfg = FieldConfig(field=field)
+        for n in (2, 3, 4):
+            T = conjugation_superop(1.5, _conditioned_S(n, 1e5, n, cfg), cfg)
+            with pytest.raises(SingularMatrix):
+                inverse(T)
+            assert separating._form_bounds(T)[1] >= 1
+            assert is_biseparating(T).status == BISEPARATING

@@ -14,15 +14,19 @@ from bisep import (
     conjugation_superop,
     from_basis_images,
     gauge_normalize,
+    gen_conjugation,
     gen_transpose,
     identity_superop,
+    perturb,
     psi_of,
     recover_conjugation,
     verify_form,
 )
+from bisep import structure
 from bisep.errors import DegenerateMap
 from bisep.linalg import invert, kernel_basis, outer
-from bisep.superop import apply, basis_images
+from bisep.structure import fit_conjugation
+from bisep.superop import apply, basis_image_array, basis_images
 
 CFG = FieldConfig()
 CFG_C = FieldConfig(field="complex")
@@ -289,3 +293,35 @@ def test_biseparating_implies_recoverable():
             if verify_form(T, form) > 1e-8:
                 rejected += 1
     assert passing >= 20 and rejected == 0
+
+
+class TestFitConjugation:
+    def test_residual_is_verify_forms(self):
+        # the recovered form carries the residual that verify_form computes, bit for bit
+        for cfg in (CFG, CFG_C):
+            for n in range(1, 7):
+                for seed in range(3):
+                    T = gen_conjugation(n, seed, cfg=cfg).map
+                    for U in (T, perturb(T, 1e-12, seed)):
+                        form = recover_conjugation(U)
+                        assert form.residual == verify_form(U, form)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_non_conjugations_stop_before_s_is_inverted(self, field, monkeypatch):
+        # a perturbed map stops at the rank of T(E_11), a transpose at the second
+        # column of S: neither inverts S nor makes the residual pass
+        def refuse(*args):
+            raise AssertionError("S was inverted or the residual pass ran")
+
+        cfg = FieldConfig(field=field)
+        sizes = range(2, 9)
+        perturbed = [perturb(gen_conjugation(n, n, cfg=cfg).map, 1e-6, n) for n in sizes]
+        transposes = [gen_transpose(n, cfg) for n in sizes]
+        monkeypatch.setattr(structure, "invert", refuse)
+        monkeypatch.setattr(structure, "_deviations", refuse)
+        for T in perturbed:
+            with pytest.raises(NotRankOnePreserving):
+                fit_conjugation(T, basis_image_array(T.mat))
+        for T in transposes:
+            with pytest.raises(NotFactorizable):
+                fit_conjugation(T, basis_image_array(T.mat))
