@@ -6,9 +6,10 @@ numeric rank of a matrix (``linalg.numeric_rank``, also behind inversion,
 kernels and rank-one factors) counts its singular values above
 ``tol_rel * sigma_1``, and is 0 when ``sigma_1 <= tol_abs``; so ``invert``
 counts a matrix with condition number >= 1/tol_rel as singular.  The
-biseparating decision overrules that for a map whose conjugation form
-``recover_conjugation`` recovers (``separating.is_biseparating``): the form
-shows the map is invertible whatever its condition number.  Functions that
+biseparating decisions overrule that for a map whose form is recovered, a
+conjugation form (``separating.is_biseparating``) or a pointwise form
+(``funcalg.is_biseparating_fn``): the form shows the map is invertible
+whatever its condition number.  Functions that
 take a map read both tolerances from the map's ``cfg``.
 
 :meth:`FieldConfig.asarray`, through which every map and matrix enters, admits
@@ -55,14 +56,20 @@ class FieldConfig:
     def is_zero(self, value, scale):
         return abs(value) <= self.threshold(scale)
 
-    def asarray(self, a):
+    def asarray(self, a, stacked=False):
         """Coerce to a dense array of the configured dtype, rejecting non-finite
-        entries and arrays too large to multiply (see the module docstring)."""
+        entries and arrays too large to multiply (see the module docstring).
+        With ``stacked``, ``a`` is a stack of matrices (last two axes) and each
+        is admitted on its own, as one call per matrix would admit it."""
         out = np.asarray(a, dtype=self.dtype)
         if not np.isfinite(out).all():
             raise ValueError("non-finite entries are not admitted")
-        # vdot overflows to inf or nan without a warning, and both fail the test
-        if not np.vdot(out, out).real <= np.finfo(np.float64).max / 2:
+        # vdot and einsum overflow to inf or nan without a warning, and both fail the test
+        if stacked:  # the largest of the matrices' squared norms, nan if any is nan
+            squares = np.einsum("...ij,...ij->...", out.conj(), out).real.max(initial=0.0)
+        else:
+            squares = np.vdot(out, out).real
+        if not squares <= np.finfo(np.float64).max / 2:
             raise ValueError("entries too large: twice the squared Frobenius norm overflows a double")
         return out
 

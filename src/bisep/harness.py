@@ -4,6 +4,13 @@ Positive instances come with their ground truth attached; negative
 instances are curated (transpose, point mixing, perturbation) rather
 than random, because a generic linear map already fails the separating
 property and exercises nothing specific.
+
+A block map's points are drawn one seed each and then built as one stack:
+the k maps (``superop.conjugation_superop``), their gauged truths and each
+point's residual against its truth.  Every stacked helper computes each
+point bit for bit as a call on that point alone, so the maps, truths and
+files are those of building one point at a time, and ``gen_conjugation``
+is the one-point case of the same build.
 """
 
 from dataclasses import dataclass, replace
@@ -12,10 +19,10 @@ import numpy as np
 
 from .config import DEFAULT, FieldConfig
 from .errors import BisepError, DimensionMismatch
-from .funcalg import BigSuperoperator, DiscreteSpace, PointwiseForm, verify_pointwise
+from .funcalg import BigSuperoperator, DiscreteSpace, PointwiseForm
 from .linalg import frob, gaussian
-from .structure import ConjugationForm, gauge_normalize, verify_form
-from .superop import Superoperator, conjugation_superop
+from .structure import ConjugationForm, gauge_normalize, unit_deviations
+from .superop import Superoperator, basis_image_array, conjugation_superop
 
 DEFAULT_COND_CAP = 100.0
 DEFAULT_ALPHA_RANGE = (0.5, 2.0)
@@ -50,6 +57,29 @@ def _random_alpha(rng, alpha_range, cfg):
     return float(mag * rng.choice([-1.0, 1.0]))
 
 
+def _random_form(seed, n, alpha_range, cond_cap, cfg):
+    """One point's (alpha, S), drawn from ``seed``: S first, then alpha."""
+    rng = np.random.default_rng(seed)
+    S = np.eye(n, dtype=cfg.dtype) if cond_cap == 1 else _random_conditioned(rng, n, cond_cap, cfg)
+    return _random_alpha(rng, alpha_range, cfg), S
+
+
+def _checked_truths(mats, alphas, Ss, cfg):
+    """The gauged S of one point, or of every point of a stack, from the maps'
+    matrices ``mats`` and their (alpha, S).  Raises BisepError unless each map
+    is within 1e-10 of its truth, relative to its own largest basis image."""
+    truths = gauge_normalize(Ss, cfg)
+    im = basis_image_array(mats)
+    # every scale is at least |alpha| > tol_abs: ||S e_i|| ||e_i^T S^{-1}|| >= 1
+    scale = np.linalg.norm(im, axis=(-2, -1)).max(axis=(-2, -1))
+    residual = unit_deviations(im, alphas, truths, cfg).max(axis=(-2, -1)) / scale
+    if not (residual <= 1e-10).all():  # nan, from an overflow, fails too
+        raise BisepError(
+            f"generated conjugation map misses its ground truth: residual {residual.max():.3g}"
+        )
+    return truths
+
+
 def gen_conjugation(
     n,
     seed,
@@ -57,25 +87,16 @@ def gen_conjugation(
     cond_cap=DEFAULT_COND_CAP,
     cfg: FieldConfig = DEFAULT,
 ) -> InstanceBundle:
-    """Random scaled-similarity map with ground truth in gauge.
+    """Random scaled-similarity map with ground truth in gauge; the one-point
+    case of :func:`gen_pointwise`'s build.
 
     S is rejection-resampled until its condition number is below cond_cap
     (cond_cap = 1 forces S = I)."""
     if n < 1 or not cond_cap >= 1:  # also refuses nan, which no S would meet
         raise ValueError("need n >= 1 and cond_cap >= 1")
-    rng = np.random.default_rng(seed)
-    if cond_cap == 1:
-        S = np.eye(n, dtype=cfg.dtype)
-    else:
-        S = _random_conditioned(rng, n, cond_cap, cfg)
-    alpha = _random_alpha(rng, alpha_range, cfg)
+    alpha, S = _random_form(seed, n, alpha_range, cond_cap, cfg)
     T = conjugation_superop(alpha, S, cfg)
-    truth = ConjugationForm(alpha=alpha, S=gauge_normalize(S, cfg))
-    residual = verify_form(T, truth)
-    if not residual <= 1e-10:  # nan, from an overflow, fails too
-        raise BisepError(
-            f"generated conjugation map misses its ground truth: residual {residual:.3g}"
-        )
+    truth = ConjugationForm(alpha=alpha, S=_checked_truths(T.mat, np.array(alpha), S, cfg))
     return InstanceBundle(
         description=f"conjugation n={n} seed={seed}", map=T, seed=seed, ground_truth=truth
     )
@@ -86,32 +107,36 @@ def _point_labels(k, prefix):
 
 
 def gen_pointwise(k, n, seed, cfg: FieldConfig = DEFAULT) -> InstanceBundle:
-    """Random permutation phi with an independent conjugation at every point."""
+    """Random permutation phi with an independent conjugation at every point.
+
+    Each point's (alpha, S) is drawn from its own seed, in point order, as
+    :func:`gen_conjugation` draws one; the k maps, their truths and their
+    residuals are then built as one stack."""
     if k < 1 or n < 1:
         raise ValueError("need k, n >= 1")
     rng = np.random.default_rng(seed)
     space_in = DiscreteSpace(_point_labels(k, "x"))
     space_out = DiscreteSpace(_point_labels(k, "y"))
     perm = rng.permutation(k)  # phi(y_i) = x_{perm[i]}
+    forms = [
+        _random_form(s, n, DEFAULT_ALPHA_RANGE, DEFAULT_COND_CAP, cfg)
+        for s in rng.integers(0, 2**63, size=k).tolist()
+    ]
+    alphas = [alpha for alpha, _ in forms]
+    Ss = np.stack([S for _, S in forms])
+    mats = conjugation_superop(np.array(alphas), Ss, cfg)
+    truths = _checked_truths(mats, np.array(alphas), Ss, cfg)
     blocks = np.zeros((k, k, n * n, n * n), dtype=cfg.dtype)
-    phi, alphas, Ss = {}, {}, {}
-    for x2 in range(k):
-        sub = gen_conjugation(n, seed=int(rng.integers(0, 2**63)), cfg=cfg)
-        x1 = int(perm[x2])
-        blocks[x2, x1] = sub.map.mat
-        label2 = space_out.labels[x2]
-        phi[label2] = space_in.labels[x1]
-        alphas[label2] = sub.ground_truth.alpha
-        Ss[label2] = sub.ground_truth.S
+    blocks[np.arange(k), perm] = mats
     T = BigSuperoperator(
         space_in=space_in, space_out=space_out, n_in=n, n_out=n, blocks=blocks, cfg=cfg
     )
-    truth = PointwiseForm(phi=phi, alphas=alphas, S=Ss)
-    residual = verify_pointwise(T, truth)
-    if not residual <= 1e-10:
-        raise BisepError(
-            f"generated pointwise map misses its ground truth: residual {residual:.3g}"
-        )
+    labels_in = [space_in.labels[x1] for x1 in perm]
+    truth = PointwiseForm(
+        phi=dict(zip(space_out.labels, labels_in)),
+        alphas=dict(zip(space_out.labels, alphas)),
+        S=dict(zip(space_out.labels, truths)),
+    )
     return InstanceBundle(
         description=f"pointwise k={k} n={n} seed={seed}", map=T, seed=seed, ground_truth=truth
     )

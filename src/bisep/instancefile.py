@@ -105,7 +105,7 @@ def scalar_to_json(x, field):
 def matrix_to_json(A, field):
     A = np.asarray(A)
     parts = np.stack((A.real, A.imag), -1) if field == COMPLEX else A.real
-    return parts.astype(np.float64).tolist()
+    return parts.astype(np.float64, copy=False).tolist()
 
 
 def write_atomic(path, text):
@@ -302,11 +302,12 @@ def instance_to_json(obj) -> dict:
             "matrix": matrix_to_json(obj.mat, obj.cfg.field),
         }
     if isinstance(obj, BigSuperoperator):
-        nonzero = (obj.blocks != 0).any(axis=(2, 3))
+        x2s, x1s = np.nonzero((obj.blocks != 0).any(axis=(2, 3)))
+        # the nonzero blocks converted as one stack, in the same key order
+        rows = matrix_to_json(obj.blocks[x2s, x1s], obj.cfg.field)
         blocks = {
-            f"{obj.space_out.labels[x2]}/{obj.space_in.labels[x1]}":
-                matrix_to_json(obj.blocks[x2, x1], obj.cfg.field)
-            for x2, x1 in zip(*np.nonzero(nonzero))
+            f"{obj.space_out.labels[x2]}/{obj.space_in.labels[x1]}": block
+            for x2, x1, block in zip(x2s, x1s, rows)
         }
         return {
             "kind": KIND_BIG,

@@ -98,28 +98,34 @@ def numeric_rank(A, cfg: FieldConfig = DEFAULT):
 
 
 def invert(A, cfg: FieldConfig = DEFAULT):
-    """Invert a square matrix, returning (inverse, condition estimate).
+    """Invert a square matrix, returning (inverse, condition estimate); for a
+    stack of matrices (leading axes), the stack of inverses and the array of
+    estimates, each bit for bit what a call on that matrix alone returns.
 
-    Raises SingularMatrix when the numeric rank is deficient, or when the
-    inverse fails the admission rule of :meth:`FieldConfig.asarray`.
+    Raises SingularMatrix when the numeric rank of a matrix is deficient, or
+    when its inverse fails the admission rule of :meth:`FieldConfig.asarray`;
+    both rules apply to each matrix of a stack on its own.  So a matrix of
+    condition number >= 1/tol_rel counts as singular: the biseparating
+    decisions overrule that for a map whose certified form shows it invertible.
     """
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch(f"cannot invert non-square shape {A.shape}")
-    n = A.shape[0]
+    n, stack = A.shape[-1], A.shape[:-2]
     if not n:
-        return np.zeros_like(A), 1.0
+        return np.zeros_like(A), np.ones(stack) if stack else 1.0
     s = np.linalg.svd(A, compute_uv=False)
     rank = _rank(s, cfg)
-    if rank < n:
-        raise SingularMatrix(f"numeric rank {rank} < {n}")
-    cond = float(s[0] / s[-1])
-    inv = np.linalg.solve(A, np.eye(n, dtype=A.dtype))
+    low = rank.min() if stack else rank  # the smallest rank in a stack
+    if low < n:
+        raise SingularMatrix(f"numeric rank {low} < {n}")
+    eye = np.eye(n, dtype=A.dtype)
+    inv = np.linalg.solve(A, np.broadcast_to(eye, A.shape) if stack else eye)
     try:
-        cfg.asarray(inv)
+        cfg.asarray(inv, stacked=bool(stack))
     except ValueError as exc:
         raise SingularMatrix(f"inverse too large to represent: {exc}") from exc
-    return inv, cond
+    return inv, s[..., 0] / s[..., -1] if stack else float(s[0] / s[-1])
 
 
 def kernel_basis(A, cfg: FieldConfig = DEFAULT):

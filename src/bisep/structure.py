@@ -54,8 +54,12 @@ class PsiMap:
 
 
 def gauge_normalize(S, cfg: FieldConfig):
-    """Rescale S to the ConjugationForm gauge."""
+    """Rescale S, or each matrix of a stack of them (leading axes), to the
+    ConjugationForm gauge; a stack is gauged bit for bit as one matrix at a
+    time."""
     S = np.asarray(S)
+    if S.ndim > 2:
+        return _gauge_stack(S, cfg)
     n = S.shape[0]
     norm = frob(S)
     if norm <= cfg.tol_abs:
@@ -68,6 +72,29 @@ def gauge_normalize(S, cfg: FieldConfig):
     if idx.size:
         lead = flat[idx[0]]
         S = S * (abs(lead) / lead)
+    if not cfg.is_complex:
+        S = S.real
+    return S
+
+
+def _gauge_stack(S, cfg: FieldConfig):
+    n = S.shape[-1]
+    # each Frobenius norm by one dot product over the matrix in C order, as frob
+    # takes it: a stacked matmul of rows computes those dots
+    rows = [part.reshape(S.shape[:-2] + (1, -1)) for part in ((S.real, S.imag) if np.iscomplexobj(S) else (S,))]
+    norm = np.sqrt(sum(row @ row.swapaxes(-1, -2) for row in rows))
+    if (norm <= cfg.tol_abs).any():
+        raise ZeroMatrix("cannot gauge-normalize a zero matrix")
+    if n == 1:
+        return np.ones(S.shape, dtype=cfg.dtype)
+    S = S * (np.sqrt(n) / norm)
+    flat = S.swapaxes(-1, -2).reshape(S.shape[:-2] + (-1,))  # column-major per matrix
+    big = np.abs(flat) > cfg.tol_abs
+    has = big.any(axis=-1)[..., None, None]
+    lead = np.take_along_axis(flat, big.argmax(axis=-1)[..., None], -1)[..., None]
+    lead = np.where(has, lead, 1)
+    # hypot is the scalar abs; np.abs of complex arrays can round differently
+    S = np.where(has, S * (np.hypot(lead.real, lead.imag) / lead), S)
     if not cfg.is_complex:
         S = S.real
     return S
@@ -87,14 +114,22 @@ def check_rank_one_preserving(T: Superoperator) -> bool:
 
 
 def _deviations(im, alpha, S, S_inv):
-    # model[i, j] = alpha * S E_ij S^{-1} = alpha * outer(S[:, i], S_inv[j, :])
-    return np.linalg.norm(im - alpha * np.einsum("pi,jq->ijpq", S, S_inv), axis=(2, 3))
+    # model[..., i, j] = alpha * S E_ij S^{-1} = alpha * outer(S[..., :, i], S_inv[..., j, :]).
+    # One point's alpha stays 0-d: as a (1, 1, 1, 1) array it cost gen_conjugation
+    # about 100 page faults per call at n = 12..14
+    alpha = np.asarray(alpha)
+    model = (alpha[..., None, None, None, None] if alpha.ndim else alpha) * np.einsum(
+        "...pi,...jq->...ijpq", S, S_inv
+    )
+    return np.linalg.norm(np.subtract(im, model, out=model), axis=(-2, -1))
 
 
-def unit_deviations(im, form: ConjugationForm, cfg: FieldConfig) -> np.ndarray:
-    """||T(E_ij) - alpha S E_ij S^{-1}||_F for every matrix unit, from the basis images im."""
-    S_inv, _ = invert(form.S, cfg)
-    return _deviations(im, form.alpha, form.S, S_inv)
+def unit_deviations(im, alpha, S, cfg: FieldConfig) -> np.ndarray:
+    """||T(E_ij) - alpha S E_ij S^{-1}||_F for every matrix unit, from the basis
+    images im.  Over stacks of images, alphas and S (leading axes), the stack of
+    the points' arrays, each bit for bit a call on that point alone."""
+    S_inv, _ = invert(S, cfg)
+    return _deviations(im, alpha, S, S_inv)
 
 
 def verify_form(T: Superoperator, form: ConjugationForm) -> float:
@@ -107,7 +142,7 @@ def verify_form(T: Superoperator, form: ConjugationForm) -> float:
     scale = image_scale(im)
     if scale <= T.cfg.tol_abs:
         raise DegenerateMap("all basis images vanish; residual is undefined")
-    return float(unit_deviations(im, form, T.cfg).max()) / scale
+    return float(unit_deviations(im, form.alpha, S, T.cfg).max()) / scale
 
 
 def fit_conjugation(T: Superoperator, im):

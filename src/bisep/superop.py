@@ -122,19 +122,34 @@ def inverse(T: Superoperator) -> Superoperator:
     return Superoperator(n_in=T.n_out, n_out=T.n_in, mat=inv, cfg=T.cfg)
 
 
-def conjugation_superop(alpha, S, cfg: FieldConfig = DEFAULT) -> Superoperator:
-    """The map A -> alpha * S A S^{-1} as a superoperator.
+def _kron(A, B):
+    """np.kron of the n x n matrices A and B, or of each pair in two stacks: its
+    products, in its layout, which fixes their rounding, and its one temporary,
+    freed before the result is returned."""
+    n = A.shape[-1]
+    return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(A.shape[:-2] + (n * n, n * n))
+
+
+def conjugation_superop(alpha, S, cfg: FieldConfig = DEFAULT):
+    """The map A -> alpha * S A S^{-1} as a superoperator.  For a stack of
+    alphas (shape s) and of S (shape s + (n, n)), the stack of the maps'
+    matrices (shape s + (n^2, n^2)), each bit for bit the matrix of its own
+    superoperator and admitted on its own.
 
     Requires S invertible at tolerance and |alpha| > tol_abs.
     """
-    S = cfg.asarray(S)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    S = np.asarray(S)
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise DimensionMismatch(f"S must be square, got {S.shape}")
-    if abs(alpha) <= cfg.tol_abs:
-        raise ValueError(f"alpha = {alpha} is zero at tolerance")
+    S = cfg.asarray(S, stacked=S.ndim > 2)
+    alpha = np.asarray(alpha, dtype=cfg.dtype)
+    small = np.abs(alpha) <= cfg.tol_abs
+    if small.any():
+        raise ValueError(f"alpha = {alpha.flat[np.argmax(small)]} is zero at tolerance")
     S_inv, _cond = invert(S, cfg)
-    n = S.shape[0]
+    n = S.shape[-1]
     # vec(S A S^{-1}) = (S^{-T} kron S) vec(A) under column-major stacking
-    mat = complex(alpha) if cfg.is_complex else float(alpha)
-    mat = mat * np.kron(S_inv.T, S)
+    mat = alpha[..., None, None] * _kron(S_inv.swapaxes(-1, -2), S)
+    if S.ndim > 2:
+        return cfg.asarray(mat, stacked=True)
     return Superoperator(n_in=n, n_out=n, mat=mat, cfg=cfg)

@@ -46,3 +46,18 @@ class TestFieldConfig:
                 cfg.asarray(a)
         with pytest.raises(ValueError, match="too large"):
             FieldConfig(field="complex").asarray([[complex(9e153, 9e153)]])
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_stacked_asarray_admits_each_matrix(self, field):
+        # two matrices that each pass, but whose sum of squares would not
+        cfg = FieldConfig(field=field)
+        stack = np.full((2, 1, 1), 9e153, dtype=cfg.dtype)
+        with pytest.raises(ValueError, match="too large"):
+            cfg.asarray(stack)
+        assert cfg.asarray(stack, stacked=True) is not None
+        stack[1, 0, 0] = 1e154
+        with pytest.raises(ValueError, match="too large"):
+            cfg.asarray(stack, stacked=True)
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            cfg.asarray(stack, stacked=True)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,11 +35,12 @@ from bisep import (
     verify_pointwise,
     zero_product_iff_disjoint_support,
 )
-from bisep.errors import DimensionMismatch
+from bisep.errors import DegenerateMap, DimensionMismatch, SingularMatrix
 from bisep.separating import BISEPARATING, FORWARD, NOT_INVERTIBLE, NOT_SEPARATING
 from bisep.funcalg import _best_unit, _matrix_unit, _reach, constant_fn, multiply
 from bisep.linalg import frob, gaussian, kernel_basis, numeric_rank
 from bisep.superop import basis_image_array, image_scale
+from pointwise_reference import reference_verify_pointwise
 
 CFG = FieldConfig()
 X2 = DiscreteSpace(("x1", "x2"))
@@ -477,6 +479,25 @@ class TestBiseparatingFn:
         verdict = is_biseparating_fn(T)
         assert verdict.status == NOT_INVERTIBLE and verdict.counterexample is None
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_recovered_map_with_a_refused_inverse_is_biseparating(self, seed):
+        # at tol_rel = 1e-3 the block inverse's rank rule refuses these maps,
+        # yet recover_pointwise certifies them: a certified form is invertible
+        cfg = FieldConfig(tol_rel=1e-3)
+        T = gen_pointwise(3, 3, seed, cfg).map
+        with pytest.raises(SingularMatrix):
+            inverse_fn(T)
+        assert recover_pointwise(T).residual <= 1e-14
+        verdict = is_biseparating_fn(T)
+        assert verdict.status == BISEPARATING and verdict.counterexample is None
+
+    def test_recovery_runs_only_for_a_refused_inverse(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("bisep.funcalg.recover_pointwise", lambda T: calls.append(T))
+        assert is_biseparating_fn(gen_pointwise(4, 2, seed=3).map).status == BISEPARATING
+        assert is_biseparating_fn(gen_point_mixing(3, 2, seed=2)).status == NOT_SEPARATING
+        assert not calls
+
 
 class TestApplyInverse:
     def test_apply_matches_block_formula(self):
@@ -627,6 +648,56 @@ class TestVerifyPointwise:
             S={"y1": np.eye(1), "y2": np.eye(1)},
         )
         assert verify_pointwise(T, form) <= 1e-14
+
+
+class TestVerifyPointwiseStacked:
+    """verify_pointwise measures all k phi-blocks in one pass; its value and its
+    errors are the one-point loop's of tests/pointwise_reference.py."""
+
+    @staticmethod
+    def _same(T, form):
+        assert verify_pointwise(T, form) == reference_verify_pointwise(T, form)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_equals_the_point_loop(self, field):
+        cfg = FieldConfig(field=field)
+        for k in (1, 2, 3, 5, 8):
+            for n in (1, 2, 3):
+                for seed in range(3):
+                    b = gen_pointwise(k, n, seed, cfg)
+                    for eps in (0.0, 1e-9, 1e-3):  # eps > 0 puts mass off phi
+                        T = perturb(b.map, eps, seed)
+                        self._same(T, b.ground_truth)
+                        if eps < 1e-3:
+                            self._same(T, recover_pointwise(T))
+                    off = replace(b.ground_truth, alphas={lab: 1.5 * a for lab, a in b.ground_truth.alphas.items()})
+                    self._same(b.map, off)
+
+    def test_off_phi_mass_counts(self):
+        b = gen_pointwise(3, 2, seed=5)
+        blocks = b.map.blocks.copy()
+        blocks[0, int(np.flatnonzero(np.linalg.norm(blocks[0], axis=(1, 2)) == 0)[0])] = 0.25
+        T = replace(b.map, blocks=blocks)
+        self._same(T, b.ground_truth)
+        assert verify_pointwise(T, b.ground_truth) > 0.1
+
+    def test_singular_point_raises_as_the_loop(self):
+        b = gen_pointwise(3, 2, seed=6)
+        S = dict(b.ground_truth.S)
+        S["y2"] = np.array([[1.0, 1.0], [1.0, 1.0]])
+        form = replace(b.ground_truth, S=S)
+        with pytest.raises(SingularMatrix) as stacked:
+            verify_pointwise(b.map, form)
+        with pytest.raises(SingularMatrix) as loop:
+            reference_verify_pointwise(b.map, form)
+        assert str(stacked.value) == str(loop.value)
+
+    def test_all_zero_blocks_raise_as_the_loop(self):
+        b = gen_pointwise(2, 2, seed=7)
+        T = replace(b.map, blocks=np.zeros_like(b.map.blocks))
+        for fn in (verify_pointwise, reference_verify_pointwise):
+            with pytest.raises(DegenerateMap):
+                fn(T, b.ground_truth)
 
 
 def _cross_kind_maps():

@@ -5,6 +5,7 @@ from bisep import (
     BigSuperoperator,
     FieldConfig,
     Superoperator,
+    conjugation_superop,
     gen_conjugation,
     gen_point_mixing,
     gen_pointwise,
@@ -17,6 +18,9 @@ from bisep import (
     verify_form,
     verify_pointwise,
 )
+from bisep.errors import BisepError
+from bisep.harness import DEFAULT_ALPHA_RANGE, _checked_truths
+from pointwise_reference import reference_conjugation, reference_point_mixing, reference_pointwise
 
 CFG = FieldConfig()
 
@@ -162,3 +166,57 @@ class TestOracle:
         ce = is_separating_sampled(T, 1000, seed=2).counterexample
         assert np.linalg.norm(ce.A @ ce.B) <= 1e-13
         assert ce.violation_norm > 0
+
+
+class TestStackedBuild:
+    """gen_pointwise builds its k points as one stack; the result is bit for bit
+    the one-point-at-a-time build of tests/pointwise_reference.py."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_pointwise_matches_one_point_reference(self, field):
+        cfg = FieldConfig(field=field)
+        for k in (1, 2, 3, 5, 8, 16, 32):
+            for n in (1, 2, 3):
+                for seed in range(6):
+                    b = gen_pointwise(k, n, seed, cfg)
+                    T, truth = reference_pointwise(k, n, seed, cfg)
+                    assert b.map.blocks.tobytes() == T.blocks.tobytes(), (k, n, seed)
+                    assert b.ground_truth.phi == truth.phi
+                    assert b.ground_truth.alphas == truth.alphas
+                    assert all(type(a) is type(truth.alphas[lab]) for lab, a in b.ground_truth.alphas.items())
+                    for lab, S in truth.S.items():
+                        assert b.ground_truth.S[lab].tobytes() == S.tobytes(), (k, n, seed, lab)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_conjugation_matches_one_point_reference(self, field):
+        cfg = FieldConfig(field=field)
+        for n in range(1, 7):
+            for seed in range(8):
+                for alpha_range, cond_cap in ((DEFAULT_ALPHA_RANGE, 100.0), ((1e-3, 1e3), 1e4),
+                                              (DEFAULT_ALPHA_RANGE, 1.0)):
+                    b = gen_conjugation(n, seed, alpha_range, cond_cap, cfg)
+                    T, alpha, S = reference_conjugation(n, seed, cfg, alpha_range, cond_cap)
+                    assert b.map.mat.tobytes() == T.mat.tobytes(), (n, seed, cond_cap)
+                    assert b.ground_truth.alpha == alpha
+                    assert b.ground_truth.S.tobytes() == S.tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_point_mixing_matches_one_point_reference(self, field):
+        cfg = FieldConfig(field=field)
+        for k in (2, 3, 5):
+            for n in (1, 2, 3):
+                for seed in range(3):
+                    blocks = gen_point_mixing(k, n, seed, cfg).blocks
+                    assert blocks.tobytes() == reference_point_mixing(k, n, seed, cfg).tobytes()
+
+    def test_truth_check_is_per_point(self):
+        # each point is held to 1e-10 at its own scale: a map that misses its
+        # truth at one point is refused, however small that point's images
+        cfg = FieldConfig()
+        Ss = np.stack([np.eye(2), np.array([[2.0, 1.0], [0.0, 1.0]])])
+        alphas = np.array([1e6, 1e-6])
+        mats = conjugation_superop(alphas, Ss, cfg)
+        _checked_truths(mats, alphas, Ss, cfg)
+        mats[1, 0, 0] += 1e-15  # 4.5e-10 of the small point's scale, 1e-21 of the large one's
+        with pytest.raises(BisepError, match="misses its ground truth"):
+            _checked_truths(mats, alphas, Ss, cfg)

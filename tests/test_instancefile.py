@@ -10,7 +10,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bisep import FieldConfig, SchemaError, Superoperator, gen_conjugation, gen_pointwise, perturb
+from bisep import (
+    BigSuperoperator,
+    FieldConfig,
+    SchemaError,
+    Superoperator,
+    gen_conjugation,
+    gen_pointwise,
+    perturb,
+)
 from bisep.instancefile import (
     _float_rows,
     _nesting_depth,
@@ -280,6 +288,25 @@ class TestInstanceRoundTrip:
         T = gen_pointwise(3, 2, seed=3).map
         obj = instance_to_json(T)
         assert len(obj["blocks"]) == 3  # one nonzero block per output point
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_block_stack_writes_the_per_block_text(self, field):
+        # the nonzero blocks are converted as one stack; the keys, their order
+        # and the written text are those of one matrix_to_json per block
+        cfg = FieldConfig(field=field)
+        for k, n, eps in ((1, 1, 0.0), (3, 2, 0.0), (5, 3, 1e-6), (8, 2, 1e-3)):
+            T = perturb(gen_pointwise(k, n, seed=k, cfg=cfg).map, eps, seed=k)
+            blocks = T.blocks.copy()
+            blocks[0, 0] = -0.0  # a block of signed zeros only is omitted
+            T = BigSuperoperator(space_in=T.space_in, space_out=T.space_out, n_in=n, n_out=n,
+                                 blocks=blocks, cfg=cfg)
+            obj = instance_to_json(T)
+            per_block = {
+                f"{T.space_out.labels[x2]}/{T.space_in.labels[x1]}": matrix_to_json(T.blocks[x2, x1], field)
+                for x2 in range(k) for x1 in range(k) if (T.blocks[x2, x1] != 0).any()
+            }
+            assert list(obj["blocks"]) == list(per_block)
+            assert dumps(obj) == dumps({**obj, "blocks": per_block})
 
     def test_file_round_trip(self, tmp_path):
         T = gen_conjugation(2, seed=4).map

@@ -17,6 +17,7 @@ from bisep import (
     rank_one_factor,
 )
 from bisep.errors import DimensionMismatch
+from bisep.linalg import gaussian
 
 CFG = FieldConfig()
 CFG_C = FieldConfig(field="complex")
@@ -183,6 +184,37 @@ class TestInvert:
             invert(np.diag([1.0, 1e-200]).astype(cfg.dtype), cfg)
         inv, _ = invert(np.diag([1.0, 1e-150]).astype(cfg.dtype), cfg)
         assert inv[1, 1] == 1e150
+
+    @pytest.mark.parametrize("cfg", [CFG, CFG_C])
+    def test_stack_is_each_matrix_bit_for_bit(self, cfg):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 5):
+            stack = gaussian(rng, (2, 3, n, n), cfg)
+            inv, cond = invert(stack, cfg)
+            assert inv.shape == stack.shape and cond.shape == (2, 3)
+            for idx in np.ndindex(2, 3):
+                one, one_cond = invert(stack[idx], cfg)
+                assert inv[idx].tobytes() == one.tobytes() and cond[idx] == one_cond
+
+    def test_stack_with_a_singular_matrix_is_singular(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 2))])
+        with pytest.raises(SingularMatrix, match="numeric rank 0 < 2"):
+            invert(stack, CFG)
+        with pytest.raises(SingularMatrix, match="numeric rank 1 < 2"):
+            invert(stack[:2], CFG)
+
+    def test_stack_admits_each_inverse_on_its_own(self):
+        # each inverse passes the admission rule, their stack as one array would not
+        cfg = FieldConfig(tol_rel=1e-300, tol_abs=1e-300)
+        stack = np.stack([np.diag([1.0, 1.1e-154]), np.diag([1.0, 1.1e-154])])
+        inv, _ = invert(stack, cfg)
+        assert inv[1, 1, 1] == invert(stack[1], cfg)[0][1, 1]
+        with pytest.raises(SingularMatrix, match="inverse too large"):
+            invert(np.stack([np.eye(2), np.diag([1.0, 1e-200])]), cfg)
+
+    def test_empty_stack_of_empty_matrices(self):
+        inv, cond = invert(np.zeros((3, 0, 0)), CFG)
+        assert inv.shape == (3, 0, 0) and cond.tolist() == [1.0, 1.0, 1.0]
 
 
 class TestKernelBasis:

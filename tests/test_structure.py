@@ -23,9 +23,9 @@ from bisep import (
     verify_form,
 )
 from bisep import structure
-from bisep.errors import DegenerateMap
-from bisep.linalg import invert, kernel_basis, outer
-from bisep.structure import fit_conjugation
+from bisep.errors import DegenerateMap, ZeroMatrix
+from bisep.linalg import gaussian, invert, kernel_basis, outer
+from bisep.structure import fit_conjugation, unit_deviations
 from bisep.superop import apply, basis_image_array, basis_images
 
 CFG = FieldConfig()
@@ -73,6 +73,22 @@ class TestGauge:
         S = rng.standard_normal((3, 3))
         once = gauge_normalize(S, CFG)
         np.testing.assert_allclose(gauge_normalize(once, CFG), once, atol=1e-14)
+
+    @pytest.mark.parametrize("cfg", [CFG, CFG_C])
+    def test_stack_is_each_matrix_bit_for_bit(self, cfg):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 4):
+            stack = gaussian(rng, (6, n, n), cfg)
+            stack[1, :, 0] = 0 if n > 1 else 1  # the leading entry is in the second column
+            stack[2] *= -1e-3
+            gauged = gauge_normalize(stack, cfg)
+            assert gauged.shape == stack.shape and gauged.dtype == cfg.dtype
+            for x in range(6):
+                assert gauged[x].tobytes() == gauge_normalize(stack[x], cfg).tobytes()
+
+    def test_stack_with_a_zero_matrix_is_refused(self):
+        with pytest.raises(ZeroMatrix):
+            gauge_normalize(np.stack([np.eye(2), np.zeros((2, 2))]), CFG)
 
 
 class TestRecover:
@@ -189,6 +205,18 @@ class TestVerifyForm:
         T = Superoperator(n_in=2, n_out=2, mat=np.zeros((4, 4)))
         with pytest.raises(DegenerateMap):
             verify_form(T, ConjugationForm(alpha=1.0, S=np.eye(2)))
+
+    @pytest.mark.parametrize("cfg", [CFG, CFG_C])
+    def test_stacked_unit_deviations_are_each_points_bit_for_bit(self, cfg):
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 3):
+            Ss = gaussian(rng, (4, n, n), cfg) + 2 * np.eye(n)
+            alphas = gaussian(rng, (4,), cfg) + 2
+            im = basis_image_array(gaussian(rng, (4, n * n, n * n), cfg))
+            dev = unit_deviations(im, alphas, Ss, cfg)
+            assert dev.shape == (4, n, n)
+            for x in range(4):
+                assert dev[x].tobytes() == unit_deviations(im[x], alphas[x], Ss[x], cfg).tobytes()
 
 
 class TestPsi:
