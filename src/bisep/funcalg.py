@@ -50,6 +50,8 @@ from .errors import (
 )
 from .linalg import frob, invert, numeric_rank
 from .separating import (
+    BISEPARATING,
+    NOT_INVERTIBLE,
     NOT_SEPARATING,
     SEPARATING,
     Verdict,
@@ -397,7 +399,9 @@ def is_biseparating_fn(T: BigSuperoperator) -> Verdict:
     invertible all the same (a certified pointwise form is a direct sum of
     scaled similarities), so it is BISEPARATING and goes on to strict
     separation; a recovered block map is never NOT_INVERTIBLE."""
-    verdict = biseparating(T, is_separating_fn, inverse_fn, has_form=_has_pointwise_form)
+    verdict = biseparating(T, is_separating_fn, inverse_fn)
+    if verdict.status == NOT_INVERTIBLE and _has_pointwise_form(T):  # T passed the forward check
+        verdict = Verdict(BISEPARATING)
     if verdict:
         strict = is_strictly_separating(T)
         if not strict:

@@ -6,7 +6,7 @@ than random, because a generic linear map already fails the separating
 property and exercises nothing specific.
 
 A block map's points are drawn one seed each and then built as one stack:
-the k maps (``superop.conjugation_superop``), their gauged truths and each
+the k maps (``superop.conjugation_matrices``), their gauged truths and each
 point's residual against its truth.  Every stacked helper computes each
 point bit for bit as a call on that point alone, so the maps, truths and
 files are those of building one point at a time, and ``gen_conjugation``
@@ -22,7 +22,7 @@ from .errors import BisepError, DimensionMismatch
 from .funcalg import BigSuperoperator, DiscreteSpace, PointwiseForm
 from .linalg import frob, gaussian
 from .structure import ConjugationForm, gauge_normalize, unit_deviations
-from .superop import Superoperator, basis_image_array, conjugation_superop
+from .superop import Superoperator, basis_image_array, conjugation_matrices, conjugation_superop
 
 DEFAULT_COND_CAP = 100.0
 DEFAULT_ALPHA_RANGE = (0.5, 2.0)
@@ -68,7 +68,8 @@ def _checked_truths(mats, alphas, Ss, cfg):
     """The gauged S of one point, or of every point of a stack, from the maps'
     matrices ``mats`` and their (alpha, S).  Raises BisepError unless each map
     is within 1e-10 of its truth, relative to its own largest basis image."""
-    truths = gauge_normalize(Ss, cfg)
+    n = Ss.shape[-1]
+    truths = np.stack([gauge_normalize(S, cfg) for S in Ss.reshape(-1, n, n)]).reshape(Ss.shape)
     im = basis_image_array(mats)
     # every scale is at least |alpha| > tol_abs: ||S e_i|| ||e_i^T S^{-1}|| >= 1
     scale = np.linalg.norm(im, axis=(-2, -1)).max(axis=(-2, -1))
@@ -124,7 +125,7 @@ def gen_pointwise(k, n, seed, cfg: FieldConfig = DEFAULT) -> InstanceBundle:
     ]
     alphas = [alpha for alpha, _ in forms]
     Ss = np.stack([S for _, S in forms])
-    mats = conjugation_superop(np.array(alphas), Ss, cfg)
+    mats = conjugation_matrices(np.array(alphas), Ss, cfg)
     truths = _checked_truths(mats, np.array(alphas), Ss, cfg)
     blocks = np.zeros((k, k, n * n, n * n), dtype=cfg.dtype)
     blocks[np.arange(k), perm] = mats

@@ -419,7 +419,7 @@ def _form_bounds(T: Superoperator):
     return bounds
 
 
-def biseparating(T, is_separating, inverse, form_bounds=None, has_form=None) -> Verdict:
+def biseparating(T, is_separating, inverse, form_bounds=None) -> Verdict:
     """The biseparating decision for both map kinds, in this order: T separating
     (else NOT_SEPARATING, FORWARD), T invertible (else NOT_INVERTIBLE: ``inverse``
     raised SingularMatrix), T^{-1} separating (else NOT_SEPARATING, INVERSE); then
@@ -430,10 +430,7 @@ def biseparating(T, is_separating, inverse, form_bounds=None, has_form=None) -> 
     returns None when T has no certified form, else the form's bounds on T and
     on T^{-1} over their walks' thresholds.  A bound below 1 stands in for its
     check, which would find T, or T^{-1}, separating.  A certified form also
-    makes T invertible, so where ``inverse`` refuses T it is BISEPARATING.
-    ``has_form``, when given, tells whether T has a certified form; it is asked
-    only when ``inverse`` refuses a T that passed the forward check, so only
-    such a map pays for the recovery."""
+    makes T invertible, so where ``inverse`` refuses T it is BISEPARATING."""
     bounds = form_bounds(T) if form_bounds else None
     if bounds is None or not bounds[0] < 1:
         forward = is_separating(T)
@@ -444,8 +441,7 @@ def biseparating(T, is_separating, inverse, form_bounds=None, has_form=None) -> 
     try:
         T_inv = inverse(T)
     except SingularMatrix:
-        certified = bounds is not None or (has_form is not None and has_form(T))
-        return Verdict(BISEPARATING if certified else NOT_INVERTIBLE)
+        return Verdict(NOT_INVERTIBLE if bounds is None else BISEPARATING)
     backward = is_separating(T_inv)
     if not backward:
         return Verdict(NOT_SEPARATING, counterexample=backward.counterexample, direction=INVERSE)

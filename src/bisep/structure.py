@@ -54,12 +54,8 @@ class PsiMap:
 
 
 def gauge_normalize(S, cfg: FieldConfig):
-    """Rescale S, or each matrix of a stack of them (leading axes), to the
-    ConjugationForm gauge; a stack is gauged bit for bit as one matrix at a
-    time."""
+    """Rescale S to the ConjugationForm gauge."""
     S = np.asarray(S)
-    if S.ndim > 2:
-        return _gauge_stack(S, cfg)
     n = S.shape[0]
     norm = frob(S)
     if norm <= cfg.tol_abs:
@@ -72,29 +68,6 @@ def gauge_normalize(S, cfg: FieldConfig):
     if idx.size:
         lead = flat[idx[0]]
         S = S * (abs(lead) / lead)
-    if not cfg.is_complex:
-        S = S.real
-    return S
-
-
-def _gauge_stack(S, cfg: FieldConfig):
-    n = S.shape[-1]
-    # each Frobenius norm by one dot product over the matrix in C order, as frob
-    # takes it: a stacked matmul of rows computes those dots
-    rows = [part.reshape(S.shape[:-2] + (1, -1)) for part in ((S.real, S.imag) if np.iscomplexobj(S) else (S,))]
-    norm = np.sqrt(sum(row @ row.swapaxes(-1, -2) for row in rows))
-    if (norm <= cfg.tol_abs).any():
-        raise ZeroMatrix("cannot gauge-normalize a zero matrix")
-    if n == 1:
-        return np.ones(S.shape, dtype=cfg.dtype)
-    S = S * (np.sqrt(n) / norm)
-    flat = S.swapaxes(-1, -2).reshape(S.shape[:-2] + (-1,))  # column-major per matrix
-    big = np.abs(flat) > cfg.tol_abs
-    has = big.any(axis=-1)[..., None, None]
-    lead = np.take_along_axis(flat, big.argmax(axis=-1)[..., None], -1)[..., None]
-    lead = np.where(has, lead, 1)
-    # hypot is the scalar abs; np.abs of complex arrays can round differently
-    S = np.where(has, S * (np.hypot(lead.real, lead.imag) / lead), S)
     if not cfg.is_complex:
         S = S.real
     return S

@@ -130,26 +130,34 @@ def _kron(A, B):
     return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(A.shape[:-2] + (n * n, n * n))
 
 
-def conjugation_superop(alpha, S, cfg: FieldConfig = DEFAULT):
-    """The map A -> alpha * S A S^{-1} as a superoperator.  For a stack of
-    alphas (shape s) and of S (shape s + (n, n)), the stack of the maps'
-    matrices (shape s + (n^2, n^2)), each bit for bit the matrix of its own
-    superoperator and admitted on its own.
+def conjugation_superop(alpha, S, cfg: FieldConfig = DEFAULT) -> Superoperator:
+    """The map A -> alpha * S A S^{-1} as a superoperator.
 
     Requires S invertible at tolerance and |alpha| > tol_abs.
     """
     S = np.asarray(S)
+    if S.ndim != 2:
+        raise DimensionMismatch(f"S must be square, got {S.shape}")
+    n = S.shape[0]
+    return Superoperator(n_in=n, n_out=n, mat=conjugation_matrices(alpha, S, cfg), cfg=cfg)
+
+
+def conjugation_matrices(alpha, S, cfg: FieldConfig = DEFAULT) -> np.ndarray:
+    """The matrix of :func:`conjugation_superop`, or for a stack of alphas
+    (shape s) and of S (shape s + (n, n)) the stack of the maps' matrices
+    (shape s + (n^2, n^2)), each bit for bit its own map's matrix, refused as
+    that map would be and, in a stack, admitted on its own."""
+    S = np.asarray(S)
     if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise DimensionMismatch(f"S must be square, got {S.shape}")
-    S = cfg.asarray(S, stacked=S.ndim > 2)
+    stacked = S.ndim > 2
+    S = cfg.asarray(S, stacked=stacked)
     alpha = np.asarray(alpha, dtype=cfg.dtype)
     small = np.abs(alpha) <= cfg.tol_abs
     if small.any():
         raise ValueError(f"alpha = {alpha.flat[np.argmax(small)]} is zero at tolerance")
     S_inv, _cond = invert(S, cfg)
-    n = S.shape[-1]
     # vec(S A S^{-1}) = (S^{-T} kron S) vec(A) under column-major stacking
     mat = alpha[..., None, None] * _kron(S_inv.swapaxes(-1, -2), S)
-    if S.ndim > 2:
-        return cfg.asarray(mat, stacked=True)
-    return Superoperator(n_in=n, n_out=n, mat=mat, cfg=cfg)
+    # one matrix is admitted by the Superoperator that conjugation_superop makes of it
+    return cfg.asarray(mat, stacked=True) if stacked else mat

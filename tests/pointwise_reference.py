@@ -3,19 +3,52 @@
 ``harness.gen_pointwise`` draws every point's (alpha, S) and then builds the
 k maps, truths and residuals as one stack; ``funcalg.verify_pointwise``
 measures all k phi-blocks in one pass.  The functions here do the same work
-one point at a time, through the one-matrix calls of the package's helpers,
-as the generators and the residual did before they were stacked.  The tests
+one point at a time, with the formulas written out as the generators and the
+residual used them before they were stacked: the map as a Python-scalar alpha
+times ``np.kron(S^{-T}, S)``, the gauge and the deviations on one matrix.
+They call no package helper that the stacked builds use for those values, so
+a change to a helper cannot move the generated maps unseen.  The tests
 compare the two bit for bit.
 """
 
 import numpy as np
 
-from bisep import BigSuperoperator, DiscreteSpace, PointwiseForm, conjugation_superop, gauge_normalize
-from bisep.errors import DegenerateMap
+from bisep import BigSuperoperator, DiscreteSpace, PointwiseForm, Superoperator
+from bisep.errors import DegenerateMap, ZeroMatrix
 from bisep.harness import DEFAULT_ALPHA_RANGE, DEFAULT_COND_CAP
-from bisep.linalg import gaussian
-from bisep.structure import unit_deviations
+from bisep.linalg import gaussian, invert
 from bisep.superop import basis_image_array, image_scale
+
+
+def _inverse(S, cfg):
+    invert(S, cfg)  # refuses S by the package's rank rule and admission
+    return np.linalg.solve(S, np.eye(S.shape[0], dtype=S.dtype))
+
+
+def _conjugation(alpha, S, cfg):
+    n = S.shape[0]
+    mat = (complex(alpha) if cfg.is_complex else float(alpha)) * np.kron(_inverse(S, cfg).T, S)
+    return Superoperator(n_in=n, n_out=n, mat=mat, cfg=cfg)
+
+
+def _gauge(S, cfg):
+    n = S.shape[0]
+    norm = float(np.linalg.norm(S))
+    if norm <= cfg.tol_abs:
+        raise ZeroMatrix("cannot gauge-normalize a zero matrix")
+    if n == 1:
+        return np.eye(1, dtype=cfg.dtype)
+    S = S * (np.sqrt(n) / norm)
+    flat = S.reshape(-1, order="F")
+    idx = np.flatnonzero(np.abs(flat) > cfg.tol_abs)
+    if idx.size:
+        lead = flat[idx[0]]
+        S = S * (abs(lead) / lead)
+    return S if cfg.is_complex else S.real
+
+
+def _deviations(im, alpha, S, cfg):
+    return np.linalg.norm(im - alpha * np.einsum("pi,jq->ijpq", S, _inverse(S, cfg)), axis=(2, 3))
 
 
 def reference_conjugation(n, seed, cfg, alpha_range=DEFAULT_ALPHA_RANGE, cond_cap=DEFAULT_COND_CAP):
@@ -36,7 +69,7 @@ def reference_conjugation(n, seed, cfg, alpha_range=DEFAULT_ALPHA_RANGE, cond_ca
         alpha = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
     else:
         alpha = float(mag * rng.choice([-1.0, 1.0]))
-    return conjugation_superop(alpha, S, cfg), alpha, gauge_normalize(S, cfg)
+    return _conjugation(alpha, S, cfg), alpha, _gauge(S, cfg)
 
 
 def reference_pointwise(k, n, seed, cfg):
@@ -78,7 +111,7 @@ def reference_verify_pointwise(T, form):
     off_mass = 0.0
     for x2, label2 in enumerate(T.space_out.labels):
         x1 = T.space_in.index(form.phi[label2])
-        dev = unit_deviations(imgs[x2, x1], form.alphas[label2], form.S[label2], T.cfg).max()
+        dev = _deviations(imgs[x2, x1], form.alphas[label2], np.asarray(form.S[label2]), T.cfg).max()
         worst = max(worst, float(dev))
         others = np.delete(mass[x2], x1)
         if others.size:

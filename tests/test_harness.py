@@ -5,7 +5,6 @@ from bisep import (
     BigSuperoperator,
     FieldConfig,
     Superoperator,
-    conjugation_superop,
     gen_conjugation,
     gen_point_mixing,
     gen_pointwise,
@@ -20,6 +19,7 @@ from bisep import (
 )
 from bisep.errors import BisepError
 from bisep.harness import DEFAULT_ALPHA_RANGE, _checked_truths
+from bisep.superop import conjugation_matrices
 from pointwise_reference import reference_conjugation, reference_point_mixing, reference_pointwise
 
 CFG = FieldConfig()
@@ -215,7 +215,7 @@ class TestStackedBuild:
         cfg = FieldConfig()
         Ss = np.stack([np.eye(2), np.array([[2.0, 1.0], [0.0, 1.0]])])
         alphas = np.array([1e6, 1e-6])
-        mats = conjugation_superop(alphas, Ss, cfg)
+        mats = conjugation_matrices(alphas, Ss, cfg)
         _checked_truths(mats, alphas, Ss, cfg)
         mats[1, 0, 0] += 1e-15  # 4.5e-10 of the small point's scale, 1e-21 of the large one's
         with pytest.raises(BisepError, match="misses its ground truth"):

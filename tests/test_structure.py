@@ -23,7 +23,7 @@ from bisep import (
     verify_form,
 )
 from bisep import structure
-from bisep.errors import DegenerateMap, ZeroMatrix
+from bisep.errors import DegenerateMap
 from bisep.linalg import gaussian, invert, kernel_basis, outer
 from bisep.structure import fit_conjugation, unit_deviations
 from bisep.superop import apply, basis_image_array, basis_images
@@ -73,22 +73,6 @@ class TestGauge:
         S = rng.standard_normal((3, 3))
         once = gauge_normalize(S, CFG)
         np.testing.assert_allclose(gauge_normalize(once, CFG), once, atol=1e-14)
-
-    @pytest.mark.parametrize("cfg", [CFG, CFG_C])
-    def test_stack_is_each_matrix_bit_for_bit(self, cfg):
-        rng = np.random.default_rng(3)
-        for n in (1, 2, 3, 4):
-            stack = gaussian(rng, (6, n, n), cfg)
-            stack[1, :, 0] = 0 if n > 1 else 1  # the leading entry is in the second column
-            stack[2] *= -1e-3
-            gauged = gauge_normalize(stack, cfg)
-            assert gauged.shape == stack.shape and gauged.dtype == cfg.dtype
-            for x in range(6):
-                assert gauged[x].tobytes() == gauge_normalize(stack[x], cfg).tobytes()
-
-    def test_stack_with_a_zero_matrix_is_refused(self):
-        with pytest.raises(ZeroMatrix):
-            gauge_normalize(np.stack([np.eye(2), np.zeros((2, 2))]), CFG)
 
 
 class TestRecover:

@@ -17,6 +17,7 @@ from bisep import (
 )
 from bisep.errors import DimensionMismatch
 from bisep.linalg import gaussian
+from bisep.superop import conjugation_matrices
 
 CFG = FieldConfig()
 E = [[np.zeros((2, 2)) for _ in range(2)] for _ in range(2)]
@@ -195,7 +196,7 @@ class TestConjugation:
         for n in (1, 2, 3, 4):
             Ss = gaussian(rng, (5, n, n), cfg) + 3 * np.eye(n)
             alphas = gaussian(rng, (5,), cfg) + 2
-            mats = conjugation_superop(alphas, Ss, cfg)
+            mats = conjugation_matrices(alphas, Ss, cfg)
             assert mats.shape == (5, n * n, n * n)
             for x in range(5):
                 assert mats[x].tobytes() == conjugation_superop(alphas[x], Ss[x], cfg).mat.tobytes()
@@ -203,10 +204,12 @@ class TestConjugation:
     def test_stack_refuses_as_one_point_does(self):
         Ss = np.stack([np.eye(2), np.eye(2)])
         with pytest.raises(ValueError, match="alpha = 0.0 is zero"):
-            conjugation_superop(np.array([1.0, 0.0]), Ss, CFG)
+            conjugation_matrices(np.array([1.0, 0.0]), Ss, CFG)
         with pytest.raises(ValueError, match="too large"):
-            conjugation_superop(np.array([1.0, 1e160]), Ss, CFG)
+            conjugation_matrices(np.array([1.0, 1e160]), Ss, CFG)
         with pytest.raises(SingularMatrix):
-            conjugation_superop(np.array([1.0, 1.0]), np.stack([np.eye(2), np.ones((2, 2))]), CFG)
+            conjugation_matrices(np.array([1.0, 1.0]), np.stack([np.eye(2), np.ones((2, 2))]), CFG)
         with pytest.raises(DimensionMismatch):
-            conjugation_superop(np.array([1.0]), np.ones((1, 2, 3)), CFG)
+            conjugation_matrices(np.array([1.0]), np.ones((1, 2, 3)), CFG)
+        with pytest.raises(DimensionMismatch):  # conjugation_superop takes one S
+            conjugation_superop(np.array([1.0, 1.0]), Ss, CFG)
