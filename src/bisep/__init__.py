@@ -33,7 +33,6 @@ from .linalg import (
 from .superop import (
     Superoperator,
     apply,
-    basis_images,
     compose,
     conjugation_superop,
     from_basis_images,
@@ -56,7 +55,6 @@ from .separating import (
 from .structure import (
     ConjugationForm,
     PsiMap,
-    check_rank_one_preserving,
     gauge_normalize,
     psi_of,
     recover_conjugation,

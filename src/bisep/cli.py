@@ -8,8 +8,8 @@ outcome through the exit code:
     2   property fails (a witness is in the report) or recovery rejected
     3   the map is separating but not invertible by the rank rule (for both
         map kinds, a map that is neither exits 2 with the forward witness;
-        a superop that ``decompose`` recovers is invertible and never exits
-        3, whatever its condition number)
+        a map of either kind that ``decompose`` recovers is invertible and
+        never exits 3, whatever its condition number)
 
 Each ``cmd_*`` fills in the report ``main`` hands it; ``main`` maps a raised
 error to the report's status and prints the report once.  Bad arguments are

@@ -6,11 +6,10 @@ numeric rank of a matrix (``linalg.numeric_rank``, also behind inversion,
 kernels and rank-one factors) counts its singular values above
 ``tol_rel * sigma_1``, and is 0 when ``sigma_1 <= tol_abs``; so ``invert``
 counts a matrix with condition number >= 1/tol_rel as singular.  The
-biseparating decisions overrule that for a map whose form is recovered, a
-conjugation form (``separating.is_biseparating``) or a pointwise form
-(``funcalg.is_biseparating_fn``): the form shows the map is invertible
-whatever its condition number.  Functions that
-take a map read both tolerances from the map's ``cfg``.
+biseparating decision (``separating.biseparating``) overrules that for a map
+of either kind whose form is recovered, a conjugation form or a pointwise
+form: the form shows the map is invertible whatever its condition number.
+Functions that take a map read both tolerances from the map's ``cfg``.
 
 :meth:`FieldConfig.asarray`, through which every map and matrix enters, admits
 an array only if its entries are finite and twice its squared Frobenius norm

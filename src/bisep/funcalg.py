@@ -27,9 +27,9 @@ pairwise disjoint across input points.
 A finite direct sum of zero-product-determined algebras is zero product
 determined (Bresar, Grasic, Sanchez Ortega, Linear Algebra Appl. 2009), so
 a certified pointwise form, one scaled similarity per point, makes a block
-map invertible whatever the rank rule says of its flat matrix: where the
-block inverse refuses a separating map that ``recover_pointwise`` recovers,
-the map is biseparating.
+map invertible whatever the rank rule says of its flat matrix.  That is
+why ``separating.biseparating`` asks ``recover_pointwise`` about a map
+whose inverse the block inverse refuses.
 """
 
 from dataclasses import dataclass, field, replace
@@ -38,7 +38,6 @@ import numpy as np
 
 from .config import DEFAULT, FieldConfig
 from .errors import (
-    BisepError,
     DegenerateMap,
     DimensionMismatch,
     EquivalenceViolated,
@@ -50,8 +49,6 @@ from .errors import (
 )
 from .linalg import frob, invert, numeric_rank
 from .separating import (
-    BISEPARATING,
-    NOT_INVERTIBLE,
     NOT_SEPARATING,
     SEPARATING,
     Verdict,
@@ -381,27 +378,16 @@ def is_separating_fn(T: BigSuperoperator) -> Verdict:
     return Verdict(SEPARATING)
 
 
-def _has_pointwise_form(T: BigSuperoperator) -> bool:
-    try:
-        recover_pointwise(T)
-    except BisepError:
-        return False
-    return True
-
-
 def is_biseparating_fn(T: BigSuperoperator) -> Verdict:
-    """:func:`separating.biseparating` with the block checker and the block
-    inverse, then strict separation: NOT_STRICTLY_SEPARATING with a
-    strict-check witness when a biseparating map fails it.
+    """:func:`separating.biseparating` with the block checker, the block
+    inverse and, for a refused inverse, :func:`recover_pointwise`; then strict
+    separation: NOT_STRICTLY_SEPARATING with a strict-check witness when a
+    biseparating map fails it.
 
-    The block inverse's rank rule caps cond(T) = max cond(S_x)^2 at 1/tol_rel.
-    A separating map that it refuses but :func:`recover_pointwise` recovers is
-    invertible all the same (a certified pointwise form is a direct sum of
-    scaled similarities), so it is BISEPARATING and goes on to strict
-    separation; a recovered block map is never NOT_INVERTIBLE."""
-    verdict = biseparating(T, is_separating_fn, inverse_fn)
-    if verdict.status == NOT_INVERTIBLE and _has_pointwise_form(T):  # T passed the forward check
-        verdict = Verdict(BISEPARATING)
+    The block inverse's rank rule caps cond(T) = max cond(S_x)^2 at 1/tol_rel;
+    a separating map that it refuses but that recovers is BISEPARATING and goes
+    on to strict separation, so a recovered block map is never NOT_INVERTIBLE."""
+    verdict = biseparating(T, is_separating_fn, inverse_fn, recover_pointwise)
     if verdict:
         strict = is_strictly_separating(T)
         if not strict:

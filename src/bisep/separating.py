@@ -103,15 +103,12 @@ reads the form off the basis images (``structure.fit_conjugation``: the
 columns of S from T(E_i1), alpha from T(I), one residual pass).  A map
 that is not a conjugation stops early: a perturbed one at the rank of
 T(E_11), one m x m SVD; a transpose at the second column of S.  The form
-certifies when its residual is within tol_rel.  Two bounds then stand in
-for the walks on T and on T^{-1}; where one does not clear, its check
-runs as before, except that a certified T which ``inverse`` refuses (the
-rank rule caps cond(T) = cond(S)^2 at 1/tol_rel) is BISEPARATING.  Where
-the bound on T^{-1} does not clear, the form certifies only if every unit
-image also has rank one, as ``recover_conjugation`` asks: the residual is
-relative to the largest image, and perturbing T(E_ij) = (s_i / s_j) E_ij
-of S = diag(1, 1e5) by 1e-12 leaves the residual below 1e-12 but T(E_12)
-of rank two.
+certifies when its residual is within tol_rel, the test
+``recover_conjugation`` makes.  Two bounds then stand in for the walks on
+T and on T^{-1}; where one does not clear, its check runs as before.  A T
+which ``inverse`` refuses (the rank rule caps cond(T) = cond(S)^2 at
+1/tol_rel) is BISEPARATING when the recovery of its kind returns
+(:func:`biseparating`).
 
 The bound on T.  Write Y for the computed inverse of S (Y is not exact),
 R = Y S - I, mod_ia = alpha S E_ia Y, D = max ||im_ia - mod_ia|| and
@@ -162,9 +159,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleRanks, RecoveryError, SingularMatrix
+from .errors import BisepError, InfeasibleRanks, RecoveryError, SingularMatrix
 from .linalg import _rank, frob, gaussian
-from .structure import check_rank_one_preserving, fit_conjugation
+from .structure import fit_conjugation, recover_conjugation
 from .superop import Superoperator, apply, basis_image_array, image_scale, inverse
 
 SEPARATING = "separating"
@@ -377,8 +374,7 @@ def is_separating_sampled(T: Superoperator, trials: int, seed) -> Verdict:
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan bounds decide nothing
 def _form_bounds(T: Superoperator):
-    """None when T has no form with residual within tol_rel, or when the bound
-    on T^{-1} does not clear and a unit image is above rank one; else the
+    """None when T has no form with residual within tol_rel; else the
     certified form's deviation bounds over the walk's thresholds, on T and on
     T^{-1} (module docstring).  A bound below 1 clears its walk."""
     if not T.is_endo or not T.n_in:
@@ -411,26 +407,26 @@ def _form_bounds(T: Superoperator):
     backward = 2 * (D1 * (2 * M1 + D1) + M1 * R1 / a + g * (M1 + D1) ** 2)
     k = 1 + 8 * (n * n + 4) * eps
     cfg = T.cfg
-    bounds = forward * k / cfg.threshold(M**2), backward * k / cfg.threshold(max(M1 - D1, 0.0) ** 2)
-    # where the inverse is left to the fallback, a refused inverse takes the form's
-    # word for invertibility: give it only for a form that recover_conjugation recovers
-    if not bounds[1] < 1 and not check_rank_one_preserving(T):
-        return None
-    return bounds
+    return forward * k / cfg.threshold(M**2), backward * k / cfg.threshold(max(M1 - D1, 0.0) ** 2)
 
 
-def biseparating(T, is_separating, inverse, form_bounds=None) -> Verdict:
+def biseparating(T, is_separating, inverse, recover, form_bounds=None) -> Verdict:
     """The biseparating decision for both map kinds, in this order: T separating
-    (else NOT_SEPARATING, FORWARD), T invertible (else NOT_INVERTIBLE: ``inverse``
-    raised SingularMatrix), T^{-1} separating (else NOT_SEPARATING, INVERSE); then
-    BISEPARATING.  A map that is neither separating nor invertible thus gets the
-    forward witness, and only a separating map is inverted.
+    (else NOT_SEPARATING, FORWARD), T invertible, T^{-1} separating (else
+    NOT_SEPARATING, INVERSE); then BISEPARATING.  A map that is neither
+    separating nor invertible thus gets the forward witness, and only a
+    separating map is inverted.
+
+    Where ``inverse`` raises SingularMatrix, ``recover``, the form recovery of
+    the map's kind, decides: a recovered form is a direct sum of scaled
+    similarities, invertible with a separating inverse whatever the rank rule
+    says, so T is BISEPARATING if ``recover`` returns and NOT_INVERTIBLE if it
+    raises.
 
     ``form_bounds``, when given, is a certified shortcut into that order: it
     returns None when T has no certified form, else the form's bounds on T and
     on T^{-1} over their walks' thresholds.  A bound below 1 stands in for its
-    check, which would find T, or T^{-1}, separating.  A certified form also
-    makes T invertible, so where ``inverse`` refuses T it is BISEPARATING."""
+    check, which would find T, or T^{-1}, separating."""
     bounds = form_bounds(T) if form_bounds else None
     if bounds is None or not bounds[0] < 1:
         forward = is_separating(T)
@@ -441,7 +437,11 @@ def biseparating(T, is_separating, inverse, form_bounds=None) -> Verdict:
     try:
         T_inv = inverse(T)
     except SingularMatrix:
-        return Verdict(NOT_INVERTIBLE if bounds is None else BISEPARATING)
+        try:
+            recover(T)
+        except BisepError:
+            return Verdict(NOT_INVERTIBLE)
+        return Verdict(BISEPARATING)
     backward = is_separating(T_inv)
     if not backward:
         return Verdict(NOT_SEPARATING, counterexample=backward.counterexample, direction=INVERSE)
@@ -449,6 +449,6 @@ def biseparating(T, is_separating, inverse, form_bounds=None) -> Verdict:
 
 
 def is_biseparating(T: Superoperator) -> Verdict:
-    """:func:`biseparating` with the certified form first, then the exact checker
-    and the superoperator inverse."""
-    return biseparating(T, is_separating_exact, inverse, _form_bounds)
+    """:func:`biseparating` with the certified form first, then the exact checker,
+    the superoperator inverse and, for a refused inverse, the form recovery."""
+    return biseparating(T, is_separating_exact, inverse, recover_conjugation, _form_bounds)

@@ -60,15 +60,6 @@ def apply(T: Superoperator, A) -> np.ndarray:
     return unvec(T.mat @ vec(A), T.n_out)
 
 
-def basis_images(T: Superoperator):
-    """Images T(E_pq) for all matrix units, ordered by column-major basis index.
-
-    Element k = q*n_in + p is T(E_pq); this is just the columns of T.mat
-    reshaped, so the list is exact (no arithmetic).
-    """
-    return [unvec(T.mat[:, k], T.n_out) for k in range(T.n_in**2)]
-
-
 def basis_image_array(mat) -> np.ndarray:
     """Basis images of a map matrix, or of each in a stack of them:
     IM[..., p, q, :, :] = T(E_pq), shape (..., n, n, m, m)."""
@@ -84,9 +75,9 @@ def image_scale(im) -> float:
 
 
 def from_basis_images(images, cfg: FieldConfig = DEFAULT) -> Superoperator:
-    """Assemble a superoperator from the list of basis images.
-
-    Inverse of :func:`basis_images`: the round trip is bit-identical.
+    """Assemble a superoperator from the list of basis images, element
+    q*n_in + p being T(E_pq) (column-major basis order); no arithmetic, so
+    its :func:`basis_image_array` holds those images bit for bit.
     """
     count = len(images)
     n_in = int(round(count**0.5))

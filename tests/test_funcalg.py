@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from bisep import (
     verify_pointwise,
     zero_product_iff_disjoint_support,
 )
-from bisep.errors import DegenerateMap, DimensionMismatch, SingularMatrix
+from bisep.errors import DegenerateMap, DimensionMismatch, RecoveryError, SingularMatrix
 from bisep.separating import BISEPARATING, FORWARD, NOT_INVERTIBLE, NOT_SEPARATING
 from bisep.funcalg import _best_unit, _matrix_unit, _reach, constant_fn, multiply
 from bisep.linalg import frob, gaussian, kernel_basis, numeric_rank
@@ -490,6 +491,34 @@ class TestBiseparatingFn:
         assert recover_pointwise(T).residual <= 1e-14
         verdict = is_biseparating_fn(T)
         assert verdict.status == BISEPARATING and verdict.counterexample is None
+
+    @pytest.mark.parametrize("tol_rel", [1e-9, 1e-3])
+    def test_no_recovered_map_is_not_invertible(self, tol_rel):
+        # pointwise maps, perturbed or with the output point y1 zeroed, k = 1 ... 3
+        refused_but_recovered = 0
+        statuses = set()
+        for field in ("real", "complex"):
+            cfg = FieldConfig(field=field, tol_rel=tol_rel)
+            for k, n, seed in itertools.product((1, 2, 3), (2, 3), range(4)):
+                base = gen_pointwise(k, n, seed, cfg).map
+                blocks = base.blocks.copy()
+                blocks[0] = 0.0
+                zeroed = replace(base, blocks=blocks)
+                for T in (base, perturb(base, 1e-12, seed), perturb(base, 1e-9, seed), zeroed):
+                    status = is_biseparating_fn(T).status
+                    statuses.add(status)
+                    try:
+                        recover_pointwise(T)
+                    except RecoveryError:
+                        continue
+                    assert status != NOT_INVERTIBLE
+                    try:
+                        inverse_fn(T)
+                    except SingularMatrix:
+                        refused_but_recovered += 1
+        assert {BISEPARATING, NOT_INVERTIBLE} <= statuses
+        # at tol_rel = 1e-3 the rank rule refuses maps that recover
+        assert (refused_but_recovered > 0) == (tol_rel == 1e-3)
 
     def test_recovery_runs_only_for_a_refused_inverse(self, monkeypatch):
         calls = []

@@ -26,6 +26,7 @@ from bisep import (
 from bisep import separating
 from bisep.errors import InfeasibleRanks, RecoveryError, SingularMatrix
 from bisep.linalg import frob, numeric_rank
+from bisep.structure import fit_conjugation
 from bisep.superop import apply, basis_image_array, compose, from_basis_images, image_scale, inverse
 from separating_helpers import random_zero_product_pair, scalar_identity_test
 from test_corpus import CORPUS, _conditioned_S, build
@@ -633,6 +634,26 @@ def _form_first_family():
             yield build(case["recipe"])
 
 
+def _no_form(T):
+    """A recovery that never returns: the decision order without the form."""
+    raise RecoveryError("no form is recovered")
+
+
+def _one_judge_family():
+    """Conjugations 1.5 S A S^-1 with cond(S) = 1, 1e3 and 1e5 (n = 1 ... 6, 4
+    seeds, both fields), perturbed by eps = 0 and 1e-12 ... 1e-7, and the
+    diag(1, 1e5 or 1e6) conjugations perturbed by 1e-12."""
+    for field in ("real", "complex"):
+        cfg = FieldConfig(field=field)
+        for n, seed, cond in itertools.product(range(1, 7), range(4), (1.0, 1e3, 1e5)):
+            T = conjugation_superop(1.5, _conditioned_S(n, cond, 10 * n + seed, cfg), cfg)
+            for eps in (0.0, *np.geomspace(1e-12, 1e-7, 6)):
+                yield perturb(T, eps, seed=seed)
+        for cond in (1e5, 1e6):
+            T = conjugation_superop(1.0, np.diag([1.0, cond]).astype(cfg.dtype), cfg)
+            yield perturb(T, 1e-12, seed=0)
+
+
 class TestFormFirst:
     def test_agrees_with_the_order_without_the_form(self):
         """The form only turns not_invertible into biseparating, and only on
@@ -641,7 +662,7 @@ class TestFormFirst:
         flipped = 0
         for T in _form_first_family():
             new = is_biseparating(T)
-            old = separating.biseparating(T, is_separating_exact, inverse)
+            old = separating.biseparating(T, is_separating_exact, inverse, _no_form)
             if old.status == NOT_INVERTIBLE and new.status == BISEPARATING:
                 recover_conjugation(T)  # raises unless recovered
                 flipped += 1
@@ -656,6 +677,26 @@ class TestFormFirst:
                 with pytest.raises(RecoveryError):
                     recover_conjugation(T)
         assert flipped >= 50  # cond(S) >= 1e5 recovers at eps <= 1e-12 for every n
+
+    def test_the_residual_is_the_only_judge(self):
+        """recover_conjugation returns exactly when fit_conjugation's residual is
+        within tol_rel, and no map with such a fit is not_invertible."""
+        fitted = 0
+        for T in _one_judge_family():
+            try:
+                fits = fit_conjugation(T, basis_image_array(T.mat))[0].residual <= T.cfg.tol_rel
+            except (RecoveryError, SingularMatrix):
+                fits = False
+            try:
+                recover_conjugation(T)
+            except RecoveryError:
+                assert not fits
+            else:
+                assert fits
+            if fits:
+                fitted += 1
+                assert is_biseparating(T).status != NOT_INVERTIBLE
+        assert 0 < fitted < 1012
 
     def test_bounds_accept_only_what_the_walks_accept(self):
         accepted = [0, 0]

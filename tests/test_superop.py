@@ -6,7 +6,6 @@ from bisep import (
     SingularMatrix,
     Superoperator,
     apply,
-    basis_images,
     compose,
     conjugation_superop,
     from_basis_images,
@@ -17,7 +16,7 @@ from bisep import (
 )
 from bisep.errors import DimensionMismatch
 from bisep.linalg import gaussian
-from bisep.superop import conjugation_matrices
+from bisep.superop import basis_image_array, conjugation_matrices
 
 CFG = FieldConfig()
 E = [[np.zeros((2, 2)) for _ in range(2)] for _ in range(2)]
@@ -71,19 +70,20 @@ def test_apply_linearity():
 
 class TestBasisImages:
     def test_identity_order(self):
-        # column-major basis order: E11, E21, E12, E22
-        images = basis_images(identity_superop(2))
-        for got, want in zip(images, [E[0][0], E[1][0], E[0][1], E[1][1]]):
-            np.testing.assert_array_equal(got, want)
+        # images[p, q] is the image of E_pq
+        images = basis_image_array(identity_superop(2).mat)
+        for p, q in np.ndindex(2, 2):
+            np.testing.assert_array_equal(images[p, q], E[p][q])
 
     def test_zero_superop(self):
         T = Superoperator(n_in=2, n_out=3, mat=np.zeros((9, 4)))
-        assert all(np.all(im == 0) for im in basis_images(T))
+        images = basis_image_array(T.mat)
+        assert images.shape == (2, 2, 3, 3) and not images.any()
 
     def test_scaled_identity_conjugation(self):
-        images = basis_images(conjugation_superop(3.0, np.eye(2), CFG))
-        for got, want in zip(images, [E[0][0], E[1][0], E[0][1], E[1][1]]):
-            np.testing.assert_allclose(got, 3.0 * want, atol=1e-14)
+        images = basis_image_array(conjugation_superop(3.0, np.eye(2), CFG).mat)
+        for p, q in np.ndindex(2, 2):
+            np.testing.assert_allclose(images[p, q], 3.0 * E[p][q], atol=1e-14)
 
     def test_from_basis_images_identity(self):
         T = from_basis_images([E[0][0], E[1][0], E[0][1], E[1][1]])
@@ -92,7 +92,10 @@ class TestBasisImages:
     def test_round_trip_bit_identical(self):
         rng = np.random.default_rng(1)
         T = Superoperator(n_in=2, n_out=3, mat=rng.standard_normal((9, 4)))
-        T2 = from_basis_images(basis_images(T))
+        images = basis_image_array(T.mat)
+        # the list is in column-major basis order: element q*n + p is T(E_pq)
+        T2 = from_basis_images([images[p, q] for q in range(2) for p in range(2)])
+        assert np.array_equal(basis_image_array(T2.mat), images)
         assert np.array_equal(T.mat, T2.mat)
 
     def test_single_nonzero_image(self):
