@@ -7,12 +7,10 @@ from .errors import (
     BisepError,
     DegenerateMap,
     DimensionMismatch,
-    EquivalenceViolated,
     InfeasibleRanks,
     NotFactorizable,
     NotInvertibleS,
     NotLocal,
-    NotRankOne,
     NotRankOnePreserving,
     NotStandardForm,
     PhiNotBijective,
@@ -21,22 +19,12 @@ from .errors import (
     SingularMatrix,
     ZeroMatrix,
 )
-from .linalg import (
-    RankOneFactor,
-    invert,
-    kernel_basis,
-    numeric_rank,
-    outer,
-    pair,
-    rank_one_factor,
-)
+from .linalg import invert, kernel_basis, numeric_rank
 from .superop import (
     Superoperator,
     apply,
-    compose,
     conjugation_superop,
     from_basis_images,
-    identity_superop,
     inverse,
     unvec,
     vec,
@@ -54,9 +42,7 @@ from .separating import (
 )
 from .structure import (
     ConjugationForm,
-    PsiMap,
     gauge_normalize,
-    psi_of,
     recover_conjugation,
     verify_form,
 )
@@ -68,7 +54,6 @@ from .funcalg import (
     PointwiseForm,
     ai_membership,
     apply_fn,
-    constant_fn,
     delta_fn,
     inverse_fn,
     is_biseparating_fn,
@@ -77,7 +62,6 @@ from .funcalg import (
     recover_pointwise,
     support,
     verify_pointwise,
-    zero_product_iff_disjoint_support,
 )
 from .harness import (
     InstanceBundle,

@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from .config import COMPLEX, DEFAULT, REAL, FieldConfig
-from .errors import BisepError, DimensionMismatch, RecoveryError, SchemaError, SingularMatrix
+from .errors import BisepError, DimensionMismatch, RecoveryError, SchemaError
 from .funcalg import (
     NOT_STRICTLY_SEPARATING,
     PointwiseForm,
@@ -128,7 +128,7 @@ def cmd_decompose(args, report):
         report["error"] = str(exc)
         if exc.residual is not None:
             report["residual"] = exc.residual
-    except (DimensionMismatch, SingularMatrix) as exc:
+    except DimensionMismatch as exc:
         report["status"] = "dimension_mismatch"
         report["error"] = str(exc)
     return EXIT_FAILS
@@ -235,7 +235,7 @@ def cmd_roundtrip(args, report):
         ok = decide(T).status == BISEPARATING
         try:
             form = recover(T)
-        except (RecoveryError, SingularMatrix):
+        except RecoveryError:
             record(name, False)
             return
         same_phi, err = _compare_truth(form, bundle.ground_truth)

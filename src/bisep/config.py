@@ -3,12 +3,13 @@
 Two rules decide what is zero.  A quantity x at context scale s is zero
 iff ``|x| <= tol_abs + tol_rel * s`` (:meth:`FieldConfig.threshold`).  The
 numeric rank of a matrix (``linalg.numeric_rank``, also behind inversion,
-kernels and rank-one factors) counts its singular values above
-``tol_rel * sigma_1``, and is 0 when ``sigma_1 <= tol_abs``; so ``invert``
-counts a matrix with condition number >= 1/tol_rel as singular.  The
-biseparating decision (``separating.biseparating``) overrules that for a map
-of either kind whose form is recovered, a conjugation form or a pointwise
-form: the form shows the map is invertible whatever its condition number.
+kernels and the rank-one image of E_11 that ``structure.fit_conjugation``
+factors) counts its singular values above ``tol_rel * sigma_1``, and is 0
+when ``sigma_1 <= tol_abs``; so ``invert`` counts a matrix with condition
+number >= 1/tol_rel as singular.  The biseparating decision
+(``separating.biseparating``) overrules that for a map of either kind whose
+form is recovered, a conjugation form or a pointwise form: the form shows
+the map is invertible whatever its condition number.
 Functions that take a map read both tolerances from the map's ``cfg``.
 
 :meth:`FieldConfig.asarray`, through which every map and matrix enters, admits
@@ -51,9 +52,6 @@ class FieldConfig:
     def threshold(self, scale):
         """Zero-threshold at the given context scale."""
         return self.tol_abs + self.tol_rel * float(scale)
-
-    def is_zero(self, value, scale):
-        return abs(value) <= self.threshold(scale)
 
     def asarray(self, a, stacked=False):
         """Coerce to a dense array of the configured dtype, rejecting non-finite

@@ -18,10 +18,6 @@ class ZeroMatrix(BisepError):
     """A matrix required to be nonzero is zero at tolerance."""
 
 
-class NotRankOne(BisepError):
-    """Matrix has numeric rank different from one."""
-
-
 class SingularMatrix(BisepError):
     """Matrix (or superoperator) is not invertible at tolerance."""
 
@@ -69,10 +65,6 @@ class NotLocal(RecoveryError):
 
 class PhiNotBijective(RecoveryError):
     step = "phi_not_bijective"
-
-
-class EquivalenceViolated(BisepError):
-    """The zero-product/disjoint-support equivalence failed; indicates a bug."""
 
 
 class SchemaError(BisepError):

@@ -29,7 +29,9 @@ determined (Bresar, Grasic, Sanchez Ortega, Linear Algebra Appl. 2009), so
 a certified pointwise form, one scaled similarity per point, makes a block
 map invertible whatever the rank rule says of its flat matrix.  That is
 why ``separating.biseparating`` asks ``recover_pointwise`` about a map
-whose inverse the block inverse refuses.
+whose inverse the block inverse refuses.  That recovery fits each phi-block
+with ``structure.fit_conjugation`` and judges the fitted form once, by
+:func:`verify_pointwise`'s residual at the map's scale.
 """
 
 from dataclasses import dataclass, field, replace
@@ -40,7 +42,6 @@ from .config import DEFAULT, FieldConfig
 from .errors import (
     DegenerateMap,
     DimensionMismatch,
-    EquivalenceViolated,
     NotLocal,
     NotStandardForm,
     PhiNotBijective,
@@ -55,7 +56,7 @@ from .separating import (
     biseparating,
     is_separating_exact,
 )
-from .structure import ConjugationForm, recover_conjugation, unit_deviations
+from .structure import ConjugationForm, fit_conjugation, unit_deviations
 from .superop import Superoperator, basis_image_array, image_scale
 
 NOT_STRICTLY_SEPARATING = "not_strictly_separating"
@@ -112,11 +113,6 @@ def delta_fn(space: DiscreteSpace, label: str, A, cfg: FieldConfig = DEFAULT) ->
     return MatrixFunction(space=space, values=values)
 
 
-def constant_fn(space: DiscreteSpace, A, cfg: FieldConfig = DEFAULT) -> MatrixFunction:
-    A = cfg.asarray(A)
-    return MatrixFunction(space=space, values=np.broadcast_to(A, (space.k,) + A.shape).copy())
-
-
 def multiply(F: MatrixFunction, G: MatrixFunction) -> MatrixFunction:
     if F.space != G.space:
         raise DimensionMismatch("functions live on different spaces")
@@ -152,13 +148,6 @@ class BigSuperoperator:
         return self.blocks.transpose(0, 2, 1, 3).reshape(k2 * m2, k1 * n2)
 
 
-def from_flat_matrix(mat, space_in, space_out, n_in, n_out, cfg: FieldConfig = DEFAULT) -> BigSuperoperator:
-    k2, k1 = space_out.k, space_in.k
-    m2, n2 = n_out**2, n_in**2
-    blocks = np.asarray(mat).reshape(k2, m2, k1, n2).transpose(0, 2, 1, 3)
-    return BigSuperoperator(space_in=space_in, space_out=space_out, n_in=n_in, n_out=n_out, blocks=blocks, cfg=cfg)
-
-
 def apply_fn(T: BigSuperoperator, F: MatrixFunction) -> MatrixFunction:
     """Apply the block map to a function."""
     if F.space != T.space_in or F.n != T.n_in:
@@ -175,7 +164,10 @@ def inverse_fn(T: BigSuperoperator) -> BigSuperoperator:
     if flat.shape[0] != flat.shape[1]:
         raise SingularMatrix(f"non-square block map {flat.shape} has no inverse")
     inv, _ = invert(flat, T.cfg)
-    return from_flat_matrix(inv, T.space_out, T.space_in, T.n_out, T.n_in, T.cfg)
+    # point-major like flat_matrix: rows run over the input points, columns over the output points
+    blocks = inv.reshape(T.space_in.k, T.n_in**2, T.space_out.k, T.n_out**2).transpose(0, 2, 1, 3)
+    return BigSuperoperator(space_in=T.space_out, space_out=T.space_in, n_in=T.n_out, n_out=T.n_in,
+                            blocks=blocks, cfg=T.cfg)
 
 
 @dataclass(frozen=True)
@@ -236,30 +228,6 @@ def ai_membership(F: MatrixFunction, cfg: FieldConfig = DEFAULT) -> bool:
         if numeric_rank(F.at(lab), cfg) != n:
             return False
     return True
-
-
-def zero_product_iff_disjoint_support(
-    F1: MatrixFunction, F2: MatrixFunction, cfg: FieldConfig = DEFAULT
-) -> bool:
-    """Evaluate both sides of the equivalence "F1 F2 = 0 iff supports disjoint"
-    (valid whenever F2 is pointwise zero-or-invertible) and return the common
-    truth value; raises EquivalenceViolated if the sides disagree."""
-    if not ai_membership(F2, cfg):
-        raise ValueError("F2 must be pointwise zero-or-invertible")
-    prod = multiply(F1, F2)
-    scale = max(
-        np.linalg.norm(F1.values, axis=(1, 2)).max(initial=0.0)
-        * np.linalg.norm(F2.values, axis=(1, 2)).max(initial=0.0),
-        0.0,
-    )
-    product_zero = np.linalg.norm(prod.values, axis=(1, 2)).max(initial=0.0) <= cfg.threshold(scale)
-    disjoint = not (support(F1, cfg) & support(F2, cfg))
-    product_zero = bool(product_zero)
-    if product_zero != disjoint:
-        raise EquivalenceViolated(
-            f"product-zero = {product_zero} but disjoint-support = {disjoint}"
-        )
-    return product_zero
 
 
 def _block_mass(T: BigSuperoperator) -> np.ndarray:
@@ -396,11 +364,16 @@ def is_biseparating_fn(T: BigSuperoperator) -> Verdict:
 
 
 def recover_pointwise(T: BigSuperoperator) -> PointwiseForm:
-    """Reconstruct the permutation phi and the per-point (alpha, S) data.
+    """Reconstruct the permutation phi and the per-point (alpha, S) data: each
+    phi-block's form is :func:`structure.fit_conjugation`'s, and the form is
+    returned when its :func:`verify_pointwise` residual, at the map's scale,
+    is within tol_rel; no block is judged at its own scale.  The returned form
+    carries its residual.
 
     Raises NotLocal when some output point hears several input points,
-    PhiNotBijective when the point map cannot be a bijection, and wraps
-    per-point conjugation-recovery errors with the output label.
+    PhiNotBijective when the point map cannot be a bijection, a fit's
+    RecoveryError with the output label, and NotStandardForm for a residual
+    above tol_rel.
     """
     if T.n_in != T.n_out:
         raise DimensionMismatch(f"pointwise recovery needs n_in = n_out, got {T.n_in} != {T.n_out}")
@@ -420,8 +393,9 @@ def recover_pointwise(T: BigSuperoperator) -> PointwiseForm:
             )
         x1 = int(hot[0])
         phi[label2] = T.space_in.labels[x1]
+        block = T.block(x2, x1)
         try:
-            forms[label2] = recover_conjugation(T.block(x2, x1))
+            forms[label2] = fit_conjugation(block, basis_image_array(block.mat))[0]
         except RecoveryError as exc:
             wrapped = type(exc)(f"at output point {label2!r}: {exc}", residual=exc.residual)
             raise wrapped from exc

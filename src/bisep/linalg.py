@@ -1,4 +1,5 @@
-"""Dense-matrix primitives: rank-one calculus and tolerance-governed rank work.
+"""Dense-matrix primitives: the rank rule and what rests on it (numeric rank,
+inversion, kernels).
 
 Matrices, vectors and covectors are plain numpy arrays over the field
 fixed by a :class:`~bisep.config.FieldConfig`.  Covectors act
@@ -7,80 +8,10 @@ even over the complex field; all dual pairings and transposes in this
 package are the algebraic (non-Hermitian) ones.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import DEFAULT, FieldConfig
-from .errors import DimensionMismatch, NotRankOne, SingularMatrix, ZeroMatrix
-
-
-def pair(f, v):
-    """Bilinear dual pairing f(v) = sum_a f_a * v_a (no conjugation)."""
-    f = np.asarray(f)
-    v = np.asarray(v)
-    if f.shape != v.shape:
-        raise DimensionMismatch(f"covector dim {f.shape} != vector dim {v.shape}")
-    return f @ v
-
-
-def outer(u, f):
-    """Rank-one operator u (x) f, acting as v -> f(v) * u.
-
-    Entry (p, q) of the result is u_p * f_q.
-    """
-    u = np.asarray(u)
-    f = np.asarray(f)
-    if u.ndim != 1 or f.ndim != 1 or u.shape != f.shape:
-        raise DimensionMismatch(f"outer needs equal-length 1-d arrays, got {u.shape} and {f.shape}")
-    return np.outer(u, f)
-
-
-@dataclass(frozen=True)
-class RankOneFactor:
-    """Factorization A = outer(u, f) with the covector gauge-fixed.
-
-    Gauge: ||f||_2 = 1 and the first entry of f with modulus above
-    tol_abs is real positive; all scale sits in u.
-    """
-
-    u: np.ndarray
-    f: np.ndarray
-
-
-def _fix_covector_gauge(u, f, tol_abs):
-    """Rescale (u, f) so f is unit norm with a real-positive leading entry."""
-    norm = np.linalg.norm(f)
-    u = u * norm
-    f = f / norm
-    idx = np.flatnonzero(np.abs(f) > tol_abs)
-    if idx.size:
-        lead = f[idx[0]]
-        phase = lead / abs(lead)
-        f = f / phase
-        u = u * phase
-    return u, f
-
-
-def rank_one_factor(A, cfg: FieldConfig = DEFAULT) -> RankOneFactor:
-    """Factor a rank-one matrix as outer(u, f).
-
-    Raises ZeroMatrix if the numeric rank is 0 and NotRankOne if it exceeds 1.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    U, s, Vh = np.linalg.svd(A)
-    rank = _rank(s, cfg)
-    if rank == 0:
-        raise ZeroMatrix("matrix is zero at tolerance; no rank-one factor exists")
-    if rank > 1:
-        raise NotRankOne(f"second singular value {s[1]:.3e} exceeds tol * sigma_1 = {cfg.tol_rel * s[0]:.3e}")
-    # A ~= outer(s[0] * U[:,0], Vh[0]): the Vh row is already the bilinear covector
-    u = s[0] * U[:, 0]
-    f = Vh[0]
-    u, f = _fix_covector_gauge(u, f, cfg.tol_abs)
-    return RankOneFactor(u=u, f=f)
+from .errors import DimensionMismatch, SingularMatrix
 
 
 def _rank(s, cfg: FieldConfig):

@@ -100,15 +100,15 @@ proves the operator-algebra version), so a certified form already
 decides "biseparating": alpha Ad_S is invertible with the separating
 inverse alpha^{-1} Ad_{S^{-1}}.  :func:`is_biseparating` therefore first
 reads the form off the basis images (``structure.fit_conjugation``: the
-columns of S from T(E_i1), alpha from T(I), one residual pass).  A map
-that is not a conjugation stops early: a perturbed one at the rank of
-T(E_11), one m x m SVD; a transpose at the second column of S.  The form
-certifies when its residual is within tol_rel, the test
-``recover_conjugation`` makes.  Two bounds then stand in for the walks on
-T and on T^{-1}; where one does not clear, its check runs as before.  A T
-which ``inverse`` refuses (the rank rule caps cond(T) = cond(S)^2 at
-1/tol_rel) is BISEPARATING when the recovery of its kind returns
-(:func:`biseparating`).
+columns of S from T(E_i1), one inversion of the gauged S, alpha from T(I),
+one residual pass).  A map that is not a conjugation stops early: a
+perturbed one at the rank of T(E_11), one m x m SVD; a transpose at the
+second column of S.  The form certifies when its residual is within
+tol_rel, the test ``recover_conjugation`` makes.  Two bounds then stand in
+for the walks on T and on T^{-1}; where one does not clear, its check runs
+as before.  A T which ``inverse`` refuses (the rank rule caps cond(T) =
+cond(S)^2 at 1/tol_rel) is BISEPARATING when the recovery of its kind
+returns (:func:`biseparating`).
 
 The bound on T.  Write Y for the computed inverse of S (Y is not exact),
 R = Y S - I, mod_ia = alpha S E_ia Y, D = max ||im_ia - mod_ia|| and
@@ -382,7 +382,7 @@ def _form_bounds(T: Superoperator):
     im = basis_image_array(T.mat)
     try:
         form, Y, dev, M = fit_conjugation(T, im)
-    except (RecoveryError, SingularMatrix):
+    except RecoveryError:
         return None
     if not form.residual <= T.cfg.tol_rel:
         return None

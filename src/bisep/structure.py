@@ -4,12 +4,15 @@ The reconstruction follows the rank-one image structure of such maps:
 a map of this form sends u (x) f to (S u) (x) (Psi f) with
 Psi = alpha * (S^{-1})^T, so the images of the matrix units E_i1 all
 share one covector and their vector parts are the columns of S up to a
-common scalar.  The recovery extracts those columns, reads alpha off
-the image of the identity, and certifies the result by a full residual
-over the matrix-unit basis.  That residual within tol_rel is the only
+common scalar.  The recovery reads that covector off one SVD of T(E_11),
+extracts the columns, gauges S and inverts it once, reads alpha off the
+image of the identity, and certifies the result by a full residual over
+the matrix-unit basis.  That residual within tol_rel is the only
 certificate of a form; each earlier step only names where a map that
 fails stopped.  :func:`fit_conjugation` holds every step, for the
-recovery and for the biseparating decision alike.
+recovery, for the biseparating decision and, one block at a time, for the
+pointwise recovery, which judges no block by this residual: the pointwise
+form's own residual, at the map's scale, is its one test.
 """
 
 from dataclasses import dataclass, field
@@ -22,13 +25,12 @@ from .errors import (
     DimensionMismatch,
     NotFactorizable,
     NotInvertibleS,
-    NotRankOne,
     NotRankOnePreserving,
     NotStandardForm,
     SingularMatrix,
     ZeroMatrix,
 )
-from .linalg import frob, invert, rank_one_factor
+from .linalg import _rank, frob, invert
 from .superop import Superoperator, basis_image_array, image_scale
 
 
@@ -45,13 +47,6 @@ class ConjugationForm:
     alpha: complex | float
     S: np.ndarray
     residual: float | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class PsiMap:
-    """Covector-side companion of S: satisfies S^T @ mat = alpha * I."""
-
-    mat: np.ndarray
 
 
 def gauge_normalize(S, cfg: FieldConfig):
@@ -110,6 +105,12 @@ def fit_conjugation(T: Superoperator, im):
     """The form of an endomorphism T read off its basis images ``im``: the
     steps of :func:`recover_conjugation` up to its residual.
 
+    T(E_11) = u (x) f is factored by one SVD and the rank rule, with f gauged
+    to unit norm and a real-positive leading entry; column i of S is T(E_i1)
+    read along f.  S is gauged, then inverted once: a gauged S that is zero
+    at tolerance, or that the rank rule or the admission of its inverse
+    refuses, is NotInvertibleS.
+
     Returns (form, S_inv, dev, M): S_inv the computed inverse of form.S,
     dev[i, j] = ||T(E_ij) - alpha S E_ij S^{-1}||_F, M the image scale, and
     form.residual = max(dev) / M, which is not compared with tol_rel here.
@@ -123,13 +124,21 @@ def fit_conjugation(T: Superoperator, im):
             raise NotStandardForm("1x1 map is zero at tolerance; alpha must be nonzero")
         S = np.eye(1, dtype=cfg.dtype)
     else:
-        try:
-            first = rank_one_factor(im[0, 0], cfg)
-        except ZeroMatrix as exc:
-            raise NotFactorizable(f"image of E_11 has no rank-one factor: {exc}") from exc
-        except NotRankOne as exc:
-            raise NotRankOnePreserving(f"image of E_11 is not rank one: {exc}") from exc
-        f = first.f
+        U, s, Vh = np.linalg.svd(im[0, 0])
+        rank = _rank(s, cfg)
+        if rank == 0:
+            raise NotFactorizable("image of E_11 has no rank-one factor: matrix is zero at "
+                                  "tolerance; no rank-one factor exists")
+        if rank > 1:
+            raise NotRankOnePreserving(f"image of E_11 is not rank one: second singular value "
+                                       f"{s[1]:.3e} exceeds tol * sigma_1 = {cfg.tol_rel * s[0]:.3e}")
+        # T(E_11) ~= outer(u, f): the Vh row is already the bilinear covector
+        norm = np.linalg.norm(Vh[0])
+        u, f = s[0] * U[:, 0] * norm, Vh[0] / norm
+        idx = np.flatnonzero(np.abs(f) > cfg.tol_abs)
+        if idx.size:
+            phase = f[idx[0]] / abs(f[idx[0]])
+            u, f = u * phase, f / phase
         w = int(np.argmax(np.abs(f)))  # ties resolve to the lowest index via argmax
         rest = im[1:, 0]  # T(E_i1) for i >= 1; its column w over f[w] is column i of S
         cols = rest[:, :, w] / f[w]
@@ -139,22 +148,21 @@ def fit_conjugation(T: Superoperator, im):
             raise NotFactorizable(
                 f"image of E_{bad[0] + 2}1 does not share the covector of the E_11 image"
             )
-        S = np.column_stack((first.u, *cols))
-        try:
-            invert(S, cfg)
-        except SingularMatrix as exc:
-            raise NotInvertibleS(f"recovered column matrix is singular: {exc}") from exc
-
+        S = np.column_stack((u, *cols))
+    try:
+        S = gauge_normalize(S, cfg)
+        S_inv, _ = invert(S, cfg)
+    except (ZeroMatrix, SingularMatrix) as exc:
+        raise NotInvertibleS(f"recovered column matrix is singular: {exc}") from exc
+    if n > 1:
         T_id = im[np.arange(n), np.arange(n)].sum(axis=0)  # T(I)
         alpha = np.trace(T_id) / n
         if frob(T_id - alpha * np.eye(n)) > cfg.threshold(frob(T_id)):
             raise NotStandardForm("image of the identity is not a scalar matrix")
         if abs(alpha) <= cfg.tol_abs:
             raise NotStandardForm("scalar alpha vanishes at tolerance")
-        S = gauge_normalize(S, cfg)
     alpha = complex(alpha) if cfg.is_complex else float(alpha.real)
 
-    S_inv, _ = invert(S, cfg)
     M = image_scale(im)
     dev = _deviations(im, alpha, S, S_inv)
     return ConjugationForm(alpha=alpha, S=S, residual=float(dev.max()) / M), S_inv, dev, M
@@ -179,11 +187,3 @@ def recover_conjugation(T: Superoperator) -> ConjugationForm:
             residual=form.residual,
         )
     return form
-
-
-def psi_of(form: ConjugationForm, cfg: FieldConfig | None = None) -> PsiMap:
-    """Covector companion Psi = alpha * (S^{-1})^T, so that
-    T(u (x) f) = (S u) (x) (Psi f)."""
-    cfg = cfg or FieldConfig()
-    S_inv, _ = invert(np.asarray(form.S), cfg)
-    return PsiMap(mat=form.alpha * S_inv.T)

@@ -94,17 +94,6 @@ def from_basis_images(images, cfg: FieldConfig = DEFAULT) -> Superoperator:
     return Superoperator(n_in=n_in, n_out=n_out, mat=mat, cfg=cfg)
 
 
-def identity_superop(n, cfg: FieldConfig = DEFAULT) -> Superoperator:
-    return Superoperator(n_in=n, n_out=n, mat=np.eye(n * n, dtype=cfg.dtype), cfg=cfg)
-
-
-def compose(T2: Superoperator, T1: Superoperator) -> Superoperator:
-    """T2 after T1."""
-    if T1.n_out != T2.n_in:
-        raise DimensionMismatch(f"cannot compose: inner dims {T1.n_out} != {T2.n_in}")
-    return Superoperator(n_in=T1.n_in, n_out=T2.n_out, mat=T2.mat @ T1.mat, cfg=T2.cfg)
-
-
 def inverse(T: Superoperator) -> Superoperator:
     """Inverse superoperator; raises SingularMatrix when T is not a bijection."""
     if not T.is_endo:

@@ -13,7 +13,8 @@ import pytest
 from bisep import cli
 from bisep.cli import main
 from bisep.instancefile import MAX_ENTRIES, instance_to_json, load_truth, save_instance
-from bisep import Superoperator, gen_conjugation, gen_pointwise, gen_transpose
+from bisep import (FieldConfig, Superoperator, conjugation_superop, gen_conjugation, gen_pointwise,
+                   gen_transpose)
 from bisep.errors import DimensionMismatch
 from bisep.superop import apply
 
@@ -451,6 +452,23 @@ class TestDecomposeFailures:
         run_cli(capsys, "gen", "big_superop", inst, "--k", 2, "--n", 2, "--negative", "mixing")
         code, rep = run_cli(capsys, "decompose", inst)
         assert code == 2 and rep["status"] == "not_local"
+
+    def test_singular_gauged_s_is_not_invertible_s(self, tmp_path, capsys, report_schema):
+        # cond(S) = 1e3 = 1 / tol_rel: the rank rule refuses the gauged S, and
+        # the endomorphism is not a dimension mismatch
+        rng = np.random.default_rng(1)
+        Q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        S = (Q1 * np.geomspace(1, 1e-3, 4)) @ Q2
+        mat = conjugation_superop(1.5, S, FieldConfig(tol_rel=1e-12)).mat
+        inst = tmp_path / "cond.json"
+        save_instance(inst, Superoperator(4, 4, mat, FieldConfig(tol_rel=1e-3)))
+        code, rep = run_cli(capsys, "decompose", inst, "--tol", "1e-3")
+        assert code == 2 and rep["status"] == "not_invertible_s", rep
+        assert rep["error"].startswith("recovered column matrix is singular: numeric rank ")
+        report_schema(rep)
+        code, rep = run_cli(capsys, "check", inst, "--tol", "1e-3")
+        assert code == 3 and rep["status"] == "not_invertible"
 
 
 class TestRoundtrip:

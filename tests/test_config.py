@@ -27,8 +27,7 @@ class TestFieldConfig:
     def test_threshold_combines_scales(self):
         cfg = FieldConfig(tol_rel=1e-6, tol_abs=1e-10)
         assert cfg.threshold(100.0) == pytest.approx(1e-10 + 1e-4)
-        assert cfg.is_zero(5e-5, scale=100.0)
-        assert not cfg.is_zero(5e-3, scale=100.0)
+        assert 5e-5 <= cfg.threshold(100.0) < 5e-3
 
     def test_asarray_rejects_non_finite(self):
         cfg = FieldConfig()

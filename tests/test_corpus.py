@@ -35,7 +35,7 @@ from bisep import (
     recover_conjugation,
     recover_pointwise,
 )
-from bisep.errors import DimensionMismatch, RecoveryError, SingularMatrix
+from bisep.errors import DimensionMismatch, RecoveryError
 from bisep.instancefile import counterexample_to_json, form_to_json
 from bisep.linalg import gaussian
 
@@ -107,7 +107,7 @@ def outcome(T):
         form = recover(T)
     except RecoveryError as exc:
         out["decompose"] = exc.step
-    except (DimensionMismatch, SingularMatrix):
+    except DimensionMismatch:
         out["decompose"] = "dimension_mismatch"
     else:
         out["decompose"] = "ok"

@@ -4,19 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bisep import (
-    FieldConfig,
-    NotRankOne,
-    SingularMatrix,
-    ZeroMatrix,
-    invert,
-    kernel_basis,
-    numeric_rank,
-    outer,
-    pair,
-    rank_one_factor,
-)
-from bisep.errors import DimensionMismatch
+from bisep import FieldConfig, SingularMatrix, invert, kernel_basis, numeric_rank
 from bisep.linalg import gaussian
 
 CFG = FieldConfig()
@@ -30,27 +18,14 @@ def vec_strategy(n):
 
 
 class TestOuter:
-    def test_matrix_unit(self):
-        np.testing.assert_array_equal(
-            outer([1.0, 0.0], [0.0, 1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
-        )
-
-    def test_zero_vector(self):
-        np.testing.assert_array_equal(outer([0.0, 0.0], [3.0, -1.0]), np.zeros((2, 2)))
-
-    def test_direct_expansion(self):
-        np.testing.assert_array_equal(
-            outer([1.0, 1.0], [1.0, -1.0]), np.array([[1.0, -1.0], [1.0, -1.0]])
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            outer([1.0, 2.0], [1.0, 2.0, 3.0])
+    """Rank-one operators u (x) f = np.outer(u, f) under the module's pairing."""
 
     def test_apply_is_pairing_times_u(self):
+        # the pairing is bilinear: no conjugation, also over the complex field
         rng = np.random.default_rng(3)
-        u, f, v = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(outer(u, f) @ v, pair(f, v) * u, rtol=1e-12)
+        u, f, v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        np.testing.assert_allclose(np.outer(u, f) @ v, (f @ v) * u, rtol=1e-12)
+        assert abs(f @ v - np.vdot(f, v)) > 1e-3
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,58 +33,11 @@ class TestOuter:
     u=vec_strategy(3), f=vec_strategy(3), v=vec_strategy(3), g=vec_strategy(3)
 )
 def test_outer_composition_rule(u, f, v, g):
-    # (u (x) f)(v (x) g) = f(v) * (u (x) g)
-    lhs = outer(u, f) @ outer(v, g)
-    rhs = pair(f, v) * outer(u, g)
+    # (u (x) f)(v (x) g) = f(v) * (u (x) g), the pairing bilinear
+    lhs = np.outer(u, f) @ np.outer(v, g)
+    rhs = (f @ v) * np.outer(u, g)
     scale = np.linalg.norm(u) * np.linalg.norm(f) * np.linalg.norm(v) * np.linalg.norm(g)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(scale, 1.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(u=vec_strategy(4), f=vec_strategy(4))
-def test_rank_one_factor_round_trip(u, f):
-    A = outer(u, f)
-    if np.linalg.norm(A) < 1e-6:
-        return
-    r = rank_one_factor(A, CFG)
-    np.testing.assert_allclose(outer(r.u, r.f), A, atol=1e-12 * np.linalg.norm(A))
-    assert abs(np.linalg.norm(r.f) - 1.0) < 1e-12
-    lead = r.f[np.flatnonzero(np.abs(r.f) > CFG.tol_abs)[0]]
-    assert lead.real > 0 and abs(lead.imag) < 1e-12 if np.iscomplexobj(r.f) else lead > 0
-
-
-class TestRankOneFactor:
-    def test_matrix_unit(self):
-        r = rank_one_factor(np.array([[0.0, 1.0], [0.0, 0.0]]), CFG)
-        np.testing.assert_allclose(r.f, [0.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose(r.u, [1.0, 0.0], atol=1e-15)
-
-    def test_identity_not_rank_one(self):
-        with pytest.raises(NotRankOne):
-            rank_one_factor(np.eye(2), CFG)
-
-    def test_zero_matrix(self):
-        with pytest.raises(ZeroMatrix):
-            rank_one_factor(np.zeros((3, 3)), CFG)
-
-    def test_frozen_example(self):
-        # [[2,4],[1,2]] = outer(u, f) with f = (1,2)/sqrt(5) in gauge, u = sqrt(5)*(2,1)
-        A = np.array([[2.0, 4.0], [1.0, 2.0]])
-        r = rank_one_factor(A, CFG)
-        s5 = np.sqrt(5.0)
-        np.testing.assert_allclose(r.f, np.array([1.0, 2.0]) / s5, rtol=1e-12)
-        np.testing.assert_allclose(r.u, np.array([2.0, 1.0]) * s5, rtol=1e-12)
-        np.testing.assert_allclose(outer(r.u, r.f), A, atol=1e-12)
-
-    def test_complex_gauge(self):
-        rng = np.random.default_rng(11)
-        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        A = outer(u, f)
-        r = rank_one_factor(A, CFG_C)
-        np.testing.assert_allclose(outer(r.u, r.f), A, atol=1e-12 * np.linalg.norm(A))
-        lead = r.f[np.flatnonzero(np.abs(r.f) > CFG_C.tol_abs)[0]]
-        assert lead.real > 0 and abs(lead.imag) <= 1e-12
 
 
 class TestNumericRank:

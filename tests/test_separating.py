@@ -16,7 +16,6 @@ from bisep import (
     conjugation_superop,
     gen_conjugation,
     gen_transpose,
-    identity_superop,
     is_biseparating,
     is_separating_exact,
     is_separating_sampled,
@@ -24,10 +23,10 @@ from bisep import (
     recover_conjugation,
 )
 from bisep import separating
-from bisep.errors import InfeasibleRanks, RecoveryError, SingularMatrix
+from bisep.errors import InfeasibleRanks, NotInvertibleS, RecoveryError, SingularMatrix
 from bisep.linalg import frob, numeric_rank
 from bisep.structure import fit_conjugation
-from bisep.superop import apply, basis_image_array, compose, from_basis_images, image_scale, inverse
+from bisep.superop import apply, basis_image_array, from_basis_images, image_scale, inverse
 from separating_helpers import random_zero_product_pair, scalar_identity_test
 from test_corpus import CORPUS, _conditioned_S, build
 
@@ -221,7 +220,8 @@ class TestZeroProductPairs:
 
 class TestSampledChecker:
     def test_identity_many_trials(self):
-        assert is_separating_sampled(identity_superop(3), 1000, seed=0).status == SEPARATING
+        T = Superoperator(n_in=3, n_out=3, mat=np.eye(9))
+        assert is_separating_sampled(T, 1000, seed=0).status == SEPARATING
 
     def test_transpose_found_quickly(self):
         verdict = is_separating_sampled(gen_transpose(2), 200, seed=1)
@@ -526,7 +526,7 @@ class TestFastAccept:
             T = gen_conjugation(n, seed=n, cfg=cfg).map
             zero = Superoperator(n_in=n, n_out=n, mat=np.zeros((n * n, n * n)), cfg=cfg)
             for U in (_block_diagonal(T, 0.0), zero, gen_transpose(n, cfg),
-                      compose(gen_transpose(n, cfg), T)):
+                      Superoperator(n, n, gen_transpose(n, cfg).mat @ T.mat, cfg)):
                 assert not _fast_accepts(U)
                 walks.clear()
                 _assert_matches_reference(U)
@@ -685,7 +685,7 @@ class TestFormFirst:
         for T in _one_judge_family():
             try:
                 fits = fit_conjugation(T, basis_image_array(T.mat))[0].residual <= T.cfg.tol_rel
-            except (RecoveryError, SingularMatrix):
+            except RecoveryError:
                 fits = False
             try:
                 recover_conjugation(T)
@@ -697,6 +697,23 @@ class TestFormFirst:
                 fitted += 1
                 assert is_biseparating(T).status != NOT_INVERTIBLE
         assert 0 < fitted < 1012
+
+    def test_the_fit_raises_only_recovery_errors(self):
+        """A refused S is NotInvertibleS, also where the rank rule refuses the
+        gauged S and not the raw one: cond(S) = 1e3 = 1 / tol_rel."""
+        maps = list(_one_judge_family())
+        for field in ("real", "complex"):
+            exact, cfg = FieldConfig(field=field, tol_rel=1e-12), FieldConfig(field=field, tol_rel=1e-3)
+            for n, seed in itertools.product(range(2, 7), range(4)):
+                mat = conjugation_superop(1.5, _conditioned_S(n, 1e3, 10 * n + seed, exact), exact).mat
+                maps += [perturb(Superoperator(n, n, mat, cfg), eps, seed) for eps in (0.0, 1e-12)]
+        refused = 0
+        for T in maps:
+            try:
+                fit_conjugation(T, basis_image_array(T.mat))
+            except RecoveryError as exc:
+                refused += isinstance(exc, NotInvertibleS)
+        assert refused  # some cond(S) = 1e3 maps stop at S
 
     def test_bounds_accept_only_what_the_walks_accept(self):
         accepted = [0, 0]
