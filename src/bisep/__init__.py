@@ -7,7 +7,6 @@ from .errors import (
     BisepError,
     DegenerateMap,
     DimensionMismatch,
-    InfeasibleRanks,
     NotFactorizable,
     NotInvertibleS,
     NotLocal,

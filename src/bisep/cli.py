@@ -215,6 +215,12 @@ def _compare_truth(form, truth):
 def cmd_roundtrip(args, report):
     truth_gate = max(args.tol, 1e-8)
     cfg = FieldConfig(field=args.field, tol_rel=args.tol, tol_abs=args.tol_abs)
+    m = min(3, args.max_n)  # the block maps' largest n; the mixing maps have n = 2
+    try:  # a map too large for the reader is a bad parameter, refused before any is made
+        check_size(args.max_n, args.max_n, 1, 1)
+        check_size(max(m, 2), max(m, 2), args.max_k, args.max_k)
+    except SchemaError as exc:
+        raise ValueError(str(exc)) from None
     cases = failures = 0
     worst_residual = 0.0
     worst_truth_err = 0.0
@@ -256,7 +262,7 @@ def cmd_roundtrip(args, report):
         for n in range(2, args.max_n + 1):
             negative(f"transpose n={n}", gen_transpose(n, cfg), is_biseparating)
         for k in range(1, args.max_k + 1):
-            for n in range(1, min(3, args.max_n) + 1):
+            for n in range(1, m + 1):
                 for seed in range(args.seeds):
                     positive(f"big k={k} n={n} seed={seed}", gen_pointwise(k, n, seed, cfg=cfg),
                              is_biseparating_fn, recover_pointwise)

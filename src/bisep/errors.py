@@ -22,10 +22,6 @@ class SingularMatrix(BisepError):
     """Matrix (or superoperator) is not invertible at tolerance."""
 
 
-class InfeasibleRanks(BisepError):
-    """Requested ranks cannot coexist in the given dimension."""
-
-
 class RecoveryError(BisepError):
     """Base for conjugation/pointwise recovery failures.
 

@@ -34,7 +34,7 @@ with ``structure.fit_conjugation`` and judges the fitted form once, by
 :func:`verify_pointwise`'s residual at the map's scale.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .separating import (
     is_separating_exact,
 )
 from .structure import ConjugationForm, fit_conjugation, unit_deviations
-from .superop import Superoperator, basis_image_array, image_scale
+from .superop import Superoperator, basis_image_array, image_scale, unvec, vec
 
 NOT_STRICTLY_SEPARATING = "not_strictly_separating"
 
@@ -140,32 +140,25 @@ class BigSuperoperator:
     def block(self, x2: int, x1: int) -> Superoperator:
         return Superoperator(n_in=self.n_in, n_out=self.n_out, mat=self.blocks[x2, x1], cfg=self.cfg)
 
-    def flat_matrix(self) -> np.ndarray:
-        """The map as one matrix on stacked per-point vectorizations
-        (point-major: global vec index = point_index * n^2 + local vec index)."""
-        k2, k1 = self.space_out.k, self.space_in.k
-        m2, n2 = self.n_out**2, self.n_in**2
-        return self.blocks.transpose(0, 2, 1, 3).reshape(k2 * m2, k1 * n2)
-
 
 def apply_fn(T: BigSuperoperator, F: MatrixFunction) -> MatrixFunction:
     """Apply the block map to a function."""
     if F.space != T.space_in or F.n != T.n_in:
         raise DimensionMismatch("function does not match the map's input algebra")
-    vecs = F.values.transpose(0, 2, 1).reshape(T.space_in.k, -1)  # column-major per point
-    out = np.einsum("yxab,xb->ya", T.blocks, vecs)
-    values = out.reshape(T.space_out.k, T.n_out, T.n_out).transpose(0, 2, 1)
-    return MatrixFunction(space=T.space_out, values=values)
+    out = np.einsum("yxab,xb->ya", T.blocks, vec(F.values))
+    return MatrixFunction(space=T.space_out, values=unvec(out, T.n_out))
 
 
 def inverse_fn(T: BigSuperoperator) -> BigSuperoperator:
-    """Inverse of the block map as a map of function algebras."""
-    flat = T.flat_matrix()
-    if flat.shape[0] != flat.shape[1]:
-        raise SingularMatrix(f"non-square block map {flat.shape} has no inverse")
-    inv, _ = invert(flat, T.cfg)
-    # point-major like flat_matrix: rows run over the input points, columns over the output points
-    blocks = inv.reshape(T.space_in.k, T.n_in**2, T.space_out.k, T.n_out**2).transpose(0, 2, 1, 3)
+    """Inverse of the block map as a map of function algebras, through the map
+    as one matrix on the stacked per-point vectorizations, point-major: global
+    vec index = point index * n^2 + local vec index."""
+    k2, k1, m2, n2 = T.blocks.shape
+    if k2 * m2 != k1 * n2:
+        raise SingularMatrix(f"non-square block map {(k2 * m2, k1 * n2)} has no inverse")
+    inv, _ = invert(T.blocks.transpose(0, 2, 1, 3).reshape(k2 * m2, k1 * n2), T.cfg)
+    # rows run over the input points, columns over the output points
+    blocks = inv.reshape(k1, n2, k2, m2).transpose(0, 2, 1, 3)
     return BigSuperoperator(space_in=T.space_out, space_out=T.space_in, n_in=T.n_out, n_out=T.n_in,
                             blocks=blocks, cfg=T.cfg)
 
@@ -367,8 +360,8 @@ def recover_pointwise(T: BigSuperoperator) -> PointwiseForm:
     """Reconstruct the permutation phi and the per-point (alpha, S) data: each
     phi-block's form is :func:`structure.fit_conjugation`'s, and the form is
     returned when its :func:`verify_pointwise` residual, at the map's scale,
-    is within tol_rel; no block is judged at its own scale.  The returned form
-    carries its residual.
+    is within tol_rel; no block is judged at its own scale.  That residual is
+    taken from the deviations the fits measured.  The returned form carries it.
 
     Raises NotLocal when some output point hears several input points,
     PhiNotBijective when the point map cannot be a bijection, a fit's
@@ -382,36 +375,37 @@ def recover_pointwise(T: BigSuperoperator) -> PointwiseForm:
             f"input has {T.space_in.k} points but output has {T.space_out.k}; no bijection exists"
         )
     reach = _reach(T)
-    phi = {}
-    forms = {}
-    for x2 in range(T.space_out.k):
+    imgs = basis_image_array(T.blocks)
+    labels = T.space_out.labels
+    x1s, forms, devs = [], [], []
+    for x2, label2 in enumerate(labels):
         hot = np.flatnonzero(reach[x2])
-        label2 = T.space_out.labels[x2]
         if hot.size != 1:
-            raise NotLocal(
-                f"output point {label2!r} hears {hot.size} input points (need exactly 1)"
-            )
-        x1 = int(hot[0])
-        phi[label2] = T.space_in.labels[x1]
-        block = T.block(x2, x1)
+            raise NotLocal(f"output point {label2!r} hears {hot.size} input points (need exactly 1)")
+        x1s.append(int(hot[0]))
         try:
-            forms[label2] = fit_conjugation(block, basis_image_array(block.mat))[0]
+            form, _S_inv, dev, _M = fit_conjugation(imgs[x2, x1s[-1]], T.cfg)
         except RecoveryError as exc:
-            wrapped = type(exc)(f"at output point {label2!r}: {exc}", residual=exc.residual)
-            raise wrapped from exc
-    if len(set(phi.values())) != len(phi):
+            raise type(exc)(f"at output point {label2!r}: {exc}", residual=exc.residual) from exc
+        forms.append(form)
+        devs.append(dev)
+    phi = {label2: T.space_in.labels[x1] for label2, x1 in zip(labels, x1s)}
+    if len(set(x1s)) != len(x1s):
         raise PhiNotBijective(f"point map {phi} is not injective")
-    form = PointwiseForm(
-        phi=phi,
-        alphas={lab: f.alpha for lab, f in forms.items()},
-        S={lab: f.S for lab, f in forms.items()},
-    )
-    residual = verify_pointwise(T, form)
+    residual = _pointwise_residual(T, x1s, np.stack(devs), image_scale(imgs))
     if residual > T.cfg.tol_rel:
-        raise NotStandardForm(
-            f"pointwise residual {residual:.3e} exceeds tolerance", residual=residual
-        )
-    return replace(form, residual=residual)
+        raise NotStandardForm(f"pointwise residual {residual:.3e} exceeds tolerance", residual=residual)
+    return PointwiseForm(phi=phi, alphas={lab: f.alpha for lab, f in zip(labels, forms)},
+                         S={lab: f.S for lab, f in zip(labels, forms)}, residual=residual)
+
+
+def _pointwise_residual(T: BigSuperoperator, x1s, dev, img_scale) -> float:
+    """The pointwise residual of a form with phi(y_x2) = x_{x1s[x2]} and unit
+    deviations dev[x2] on its phi-blocks, at the map's image scale."""
+    off = _block_mass(T)
+    top = float(off.max())
+    off[np.arange(len(x1s)), x1s] = 0.0  # masses are >= 0, so the largest left is the off-phi mass
+    return max(float(dev.max()) / img_scale, float(off.max()) / top)
 
 
 def verify_pointwise(T: BigSuperoperator, form: PointwiseForm) -> float:
@@ -423,11 +417,8 @@ def verify_pointwise(T: BigSuperoperator, form: PointwiseForm) -> float:
     if img_scale <= T.cfg.tol_abs:
         raise DegenerateMap("all blocks vanish; residual is undefined")
     labels = T.space_out.labels
-    x2 = np.arange(len(labels))
-    x1 = np.array([T.space_in.index(form.phi[label2]) for label2 in labels])
+    x1s = np.array([T.space_in.index(form.phi[label2]) for label2 in labels])
     alphas = np.array([form.alphas[label2] for label2 in labels])
-    dev = unit_deviations(imgs[x2, x1], alphas, np.stack([form.S[label2] for label2 in labels]), T.cfg)
-    off = _block_mass(T)
-    top = float(off.max())
-    off[x2, x1] = 0.0  # masses are >= 0, so the largest left is the off-phi mass
-    return max(float(dev.max()) / img_scale, float(off.max()) / top)
+    S = np.stack([form.S[label2] for label2 in labels])
+    dev = unit_deviations(imgs[np.arange(len(labels)), x1s], alphas, S, T.cfg)
+    return _pointwise_residual(T, x1s, dev, img_scale)

@@ -32,9 +32,7 @@ DEFAULT_ALPHA_RANGE = (0.5, 2.0)
 class InstanceBundle:
     """A generated map together with its ground truth (when one exists)."""
 
-    description: str
     map: Superoperator | BigSuperoperator
-    seed: int
     ground_truth: ConjugationForm | PointwiseForm | None = None
 
 
@@ -98,9 +96,7 @@ def gen_conjugation(
     alpha, S = _random_form(seed, n, alpha_range, cond_cap, cfg)
     T = conjugation_superop(alpha, S, cfg)
     truth = ConjugationForm(alpha=alpha, S=_checked_truths(T.mat, np.array(alpha), S, cfg))
-    return InstanceBundle(
-        description=f"conjugation n={n} seed={seed}", map=T, seed=seed, ground_truth=truth
-    )
+    return InstanceBundle(map=T, ground_truth=truth)
 
 
 def _point_labels(k, prefix):
@@ -138,9 +134,7 @@ def gen_pointwise(k, n, seed, cfg: FieldConfig = DEFAULT) -> InstanceBundle:
         alphas=dict(zip(space_out.labels, alphas)),
         S=dict(zip(space_out.labels, truths)),
     )
-    return InstanceBundle(
-        description=f"pointwise k={k} n={n} seed={seed}", map=T, seed=seed, ground_truth=truth
-    )
+    return InstanceBundle(map=T, ground_truth=truth)
 
 
 def gen_transpose(n, cfg: FieldConfig = DEFAULT) -> Superoperator:
@@ -170,14 +164,7 @@ def gen_point_mixing(k, n, seed, cfg: FieldConfig = DEFAULT) -> BigSuperoperator
     blocks[0, :, :, :] = 0
     blocks[0, mix_a] = 0.5 * sub_a
     blocks[0, mix_b] = 0.5 * sub_b
-    return BigSuperoperator(
-        space_in=base.space_in,
-        space_out=base.space_out,
-        n_in=n,
-        n_out=n,
-        blocks=blocks,
-        cfg=cfg,
-    )
+    return replace(base, blocks=blocks)
 
 
 def perturb(map_, eps, seed):

@@ -42,7 +42,7 @@ from itertools import chain
 import numpy as np
 import orjson
 
-from .config import COMPLEX, REAL, FieldConfig
+from .config import COMPLEX, DEFAULT, REAL, FieldConfig
 from .errors import SchemaError
 from .funcalg import BigSuperoperator, DiscreteSpace, MatrixFunction, PointwiseForm
 from .structure import ConjugationForm
@@ -293,15 +293,8 @@ def check_size(n_in, n_out, k_in, k_out):
 def instance_to_json(obj) -> dict:
     """Instance file content for a Superoperator or BigSuperoperator."""
     if isinstance(obj, Superoperator):
-        return {
-            "kind": KIND_SUPEROP,
-            "field": obj.cfg.field,
-            "n_in": obj.n_in,
-            "n_out": obj.n_out,
-            "vec_convention": VEC_CONVENTION,
-            "matrix": matrix_to_json(obj.mat, obj.cfg.field),
-        }
-    if isinstance(obj, BigSuperoperator):
+        kind, body = KIND_SUPEROP, {"matrix": matrix_to_json(obj.mat, obj.cfg.field)}
+    elif isinstance(obj, BigSuperoperator):
         x2s, x1s = np.nonzero((obj.blocks != 0).any(axis=(2, 3)))
         # the nonzero blocks converted as one stack, in the same key order
         rows = matrix_to_json(obj.blocks[x2s, x1s], obj.cfg.field)
@@ -309,31 +302,21 @@ def instance_to_json(obj) -> dict:
             f"{obj.space_out.labels[x2]}/{obj.space_in.labels[x1]}": block
             for x2, x1, block in zip(x2s, x1s, rows)
         }
-        return {
-            "kind": KIND_BIG,
-            "field": obj.cfg.field,
-            "n_in": obj.n_in,
-            "n_out": obj.n_out,
-            "vec_convention": VEC_CONVENTION,
-            "points_in": list(obj.space_in.labels),
-            "points_out": list(obj.space_out.labels),
-            "blocks": blocks,
-        }
-    raise TypeError(f"cannot serialize {type(obj).__name__} as an instance")
+        kind, body = KIND_BIG, {"points_in": list(obj.space_in.labels),
+                                "points_out": list(obj.space_out.labels), "blocks": blocks}
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} as an instance")
+    return {"kind": kind, "field": obj.cfg.field, "n_in": obj.n_in, "n_out": obj.n_out,
+            "vec_convention": VEC_CONVENTION, **body}
 
 
-def instance_from_json(obj, tol_rel=None, tol_abs=None):
+def instance_from_json(obj, tol_rel=DEFAULT.tol_rel, tol_abs=DEFAULT.tol_abs):
     """Parse and validate an instance, returning a Superoperator or
     BigSuperoperator.  Raises SchemaError naming the offending field."""
     if not isinstance(obj, dict):
         raise SchemaError("instance file must contain a JSON object", field="$")
     kind, field, n_in, n_out = _common_header(obj)
-    cfg_kwargs = {}
-    if tol_rel is not None:
-        cfg_kwargs["tol_rel"] = tol_rel
-    if tol_abs is not None:
-        cfg_kwargs["tol_abs"] = tol_abs
-    cfg = FieldConfig(field=field, **cfg_kwargs)
+    cfg = FieldConfig(field=field, tol_rel=tol_rel, tol_abs=tol_abs)
     if kind == KIND_SUPEROP:
         check_size(n_in, n_out, 1, 1)
         mat = matrix_from_json(_need(obj, "matrix", list), field, (n_out**2, n_in**2), "matrix")
@@ -420,7 +403,7 @@ def _read_json(path):
         raise SchemaError(f"{path} is nested too deeply", field="$") from None
 
 
-def load_instance(path, tol_rel=None, tol_abs=None):
+def load_instance(path, tol_rel=DEFAULT.tol_rel, tol_abs=DEFAULT.tol_abs):
     return instance_from_json(_read_json(path), tol_rel=tol_rel, tol_abs=tol_abs)
 
 

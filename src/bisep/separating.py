@@ -159,10 +159,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BisepError, InfeasibleRanks, RecoveryError, SingularMatrix
+from .errors import BisepError, RecoveryError, SingularMatrix
 from .linalg import _rank, frob, gaussian
 from .structure import fit_conjugation, recover_conjugation
-from .superop import Superoperator, apply, basis_image_array, image_scale, inverse
+from .superop import Superoperator, apply, basis_image_array, image_scale, inverse, unvec, vec
 
 SEPARATING = "separating"
 NOT_SEPARATING = "not_separating"
@@ -308,9 +308,7 @@ def is_separating_exact(T: Superoperator, *, scale: float | None = None) -> Verd
 
 def _standard_pairs(n, rng, rank_a, rank_b, count, cfg):
     """Batched zero-product pairs: range(B) inside a random subspace W,
-    rows of A in the (bilinear) annihilator of W."""
-    if rank_a < 0 or rank_b < 0 or rank_a + rank_b > n:
-        raise InfeasibleRanks(f"ranks ({rank_a}, {rank_b}) infeasible in dimension {n}")
+    rows of A in the (bilinear) annihilator of W; needs rank_a + rank_b <= n."""
 
     def gauss(*shape):
         return gaussian(rng, shape, cfg)
@@ -325,14 +323,6 @@ def _standard_pairs(n, rng, rank_a, rank_b, count, cfg):
 
 def _feasible_splits(n):
     return [(ra, rb) for ra in range(1, n) for rb in range(1, n - ra + 1)]
-
-
-def _batch_apply(T, X):
-    """Apply T to a stack of matrices, shape (count, n, n) -> (count, m, m)."""
-    count = X.shape[0]
-    vecs = X.transpose(0, 2, 1).reshape(count, -1)
-    out = vecs @ T.mat.T
-    return out.reshape(count, T.n_out, T.n_out).transpose(0, 2, 1)
 
 
 def is_separating_sampled(T: Superoperator, trials: int, seed) -> Verdict:
@@ -357,7 +347,7 @@ def is_separating_sampled(T: Superoperator, trials: int, seed) -> Verdict:
         nb = np.linalg.norm(B, axis=(1, 2), keepdims=True)
         A = A / np.where(na > 0, na, 1.0)
         B = B / np.where(nb > 0, nb, 1.0)
-        prod = _batch_apply(T, A) @ _batch_apply(T, B)
+        prod = unvec(vec(A) @ T.mat.T, T.n_out) @ unvec(vec(B) @ T.mat.T, T.n_out)
         norms = np.linalg.norm(prod, axis=(1, 2))
         bad = np.flatnonzero(norms > thr)
         if bad.size:
@@ -381,7 +371,7 @@ def _form_bounds(T: Superoperator):
         return None
     im = basis_image_array(T.mat)
     try:
-        form, Y, dev, M = fit_conjugation(T, im)
+        form, Y, dev, M = fit_conjugation(im, T.cfg)
     except RecoveryError:
         return None
     if not form.residual <= T.cfg.tol_rel:

@@ -101,9 +101,10 @@ def verify_form(T: Superoperator, form: ConjugationForm) -> float:
     return float(unit_deviations(im, form.alpha, S, T.cfg).max()) / scale
 
 
-def fit_conjugation(T: Superoperator, im):
-    """The form of an endomorphism T read off its basis images ``im``: the
-    steps of :func:`recover_conjugation` up to its residual.
+def fit_conjugation(im, cfg: FieldConfig):
+    """The form of an endomorphism T of M_n read off its basis images
+    ``im[i, j] = T(E_ij)``, shape (n, n, n, n): the steps of
+    :func:`recover_conjugation` up to its residual.
 
     T(E_11) = u (x) f is factored by one SVD and the rank rule, with f gauged
     to unit norm and a real-positive leading entry; column i of S is T(E_i1)
@@ -117,9 +118,9 @@ def fit_conjugation(T: Superoperator, im):
     Raises the RecoveryError of the step that fails; a T(E_11) of rank above
     one is NotRankOnePreserving.
     """
-    cfg, n = T.cfg, T.n_in
+    n = im.shape[0]
     if n == 1:
-        alpha = T.mat[0, 0]
+        alpha = im[0, 0, 0, 0]
         if abs(alpha) <= cfg.tol_abs:
             raise NotStandardForm("1x1 map is zero at tolerance; alpha must be nonzero")
         S = np.eye(1, dtype=cfg.dtype)
@@ -179,7 +180,7 @@ def recover_conjugation(T: Superoperator) -> ConjugationForm:
     """
     if not T.is_endo:
         raise DimensionMismatch(f"recovery needs n_in = n_out, got {T.n_in} -> {T.n_out}")
-    form = fit_conjugation(T, basis_image_array(T.mat))[0]
+    form = fit_conjugation(basis_image_array(T.mat), T.cfg)[0]
     if form.residual > T.cfg.tol_rel:
         raise NotStandardForm(
             f"rank-one columns assemble, but the full-basis residual {form.residual:.3e} "

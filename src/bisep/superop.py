@@ -20,14 +20,16 @@ VEC_CONVENTION = "column-major"
 
 
 def vec(A):
-    """Column-major vectorization of a matrix."""
-    return np.asarray(A).reshape(-1, order="F")
+    """Column-major vectorization of a matrix, or of each in a stack of them
+    (leading axes): shape (..., r, c) -> (..., r * c)."""
+    A = np.asarray(A)
+    return A.swapaxes(-1, -2).reshape(A.shape[:-2] + (A.shape[-2] * A.shape[-1],))
 
 
-def unvec(v, rows, cols=None):
-    """Inverse of :func:`vec`."""
-    cols = rows if cols is None else cols
-    return np.asarray(v).reshape(rows, cols, order="F")
+def unvec(v, rows):
+    """Inverse of :func:`vec` for square matrices: (..., rows^2) -> (..., rows, rows)."""
+    v = np.asarray(v)
+    return v.reshape(v.shape[:-1] + (rows, rows)).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

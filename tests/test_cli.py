@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +448,33 @@ class TestDecomposeFailures:
         assert code == 2
         assert rep["status"] == "not_factorizable"
 
+    @pytest.mark.parametrize("field, seed", [("real", 2), ("complex", 1)])
+    def test_an_unheard_block_over_the_reach_threshold_is_not_strict(self, tmp_path, capsys,
+                                                                      report_schema, field, seed):
+        # y1 hears its phi-point and, at 1.1 tol_rel of the largest block mass, the
+        # other input point: separating and invertible, but not strictly separating
+        cfg = FieldConfig(field=field)
+        T = gen_pointwise(2, 2, seed, cfg).map
+        mass = np.linalg.norm(T.blocks, axis=(2, 3))
+        unheard = 1 - int(np.argmax(mass[0]))
+        rng = np.random.default_rng(2)
+        G = rng.standard_normal((4, 4))
+        if field == "complex":
+            G = G + 1j * rng.standard_normal((4, 4))
+        blocks = T.blocks.copy()
+        blocks[0, unheard] = 1.1 * cfg.tol_rel * mass.max() * G / np.linalg.norm(G)
+        inst = tmp_path / "unheard.json"
+        save_instance(inst, replace(T, blocks=blocks))
+        code, rep = run_cli(capsys, "check", inst)
+        assert code == 2 and rep["status"] == "not_strictly_separating", rep
+        assert rep["strictly_separating"] is False and "direction" not in rep
+        witness = rep["counterexample"]
+        assert witness["point"] == "y1" and {"F1", "F2"} <= witness.keys()
+        report_schema(rep)
+        code, rep = run_cli(capsys, "decompose", inst)
+        assert code == 2 and rep["status"] == "not_local", rep
+        assert rep["error"] == "output point 'y1' hears 2 input points (need exactly 1)"
+
     def test_mixing_reports_not_local(self, tmp_path, capsys):
         inst = tmp_path / "mix.json"
         run_cli(capsys, "gen", "big_superop", inst, "--k", 2, "--n", 2, "--negative", "mixing")
@@ -503,6 +531,19 @@ class TestRoundtrip:
             capsys, "roundtrip", "--max-n", 2, "--max-k", 2, "--seeds", 2, "--field", "complex"
         )
         assert code == 0 and rep["failures"] == 0
+
+    @pytest.mark.parametrize("flag, value", [("--max-n", 65), ("--max-k", 456)])
+    def test_maps_over_the_size_limit_are_refused_before_any_is_made(self, capsys, monkeypatch,
+                                                                     flag, value):
+        # n = 65 is a 65^4 > 2^24 entry superop; k = 456 a 456^2 * 3^4 > 2^24 entry block map
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map was generated")
+
+        for name in ("gen_conjugation", "gen_pointwise", "gen_transpose", "gen_point_mixing"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, rep = run_cli(capsys, "roundtrip", flag, value)
+        assert code == 1 and rep["status"] == "invalid_params", rep
+        assert f"over the limit of {MAX_ENTRIES}" in rep["error"]
 
 
 def test_usage_errors_exit_1(capsys):

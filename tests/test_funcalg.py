@@ -35,10 +35,11 @@ from bisep import (
     verify_form,
     verify_pointwise,
 )
+from bisep import funcalg, structure
 from bisep.errors import DegenerateMap, DimensionMismatch, RecoveryError, SingularMatrix
 from bisep.separating import BISEPARATING, FORWARD, NOT_INVERTIBLE, NOT_SEPARATING
 from bisep.funcalg import _best_unit, _matrix_unit, _reach, multiply
-from bisep.linalg import frob, gaussian, kernel_basis, numeric_rank
+from bisep.linalg import frob, gaussian, invert, kernel_basis, numeric_rank
 from bisep.structure import fit_conjugation
 from bisep.superop import basis_image_array, image_scale
 from pointwise_reference import reference_verify_pointwise
@@ -676,7 +677,7 @@ class TestRecoverPointwise:
                         if (reach.sum(axis=1) == 1).all() and len(set(x1)) == k:
                             blocks = [T.block(x2, x) for x2, x in enumerate(x1)]
                             try:
-                                forms = [fit_conjugation(B, basis_image_array(B.mat))[0] for B in blocks]
+                                forms = [fit_conjugation(basis_image_array(B.mat), B.cfg)[0] for B in blocks]
                             except RecoveryError:
                                 pass
                         residual = None
@@ -700,6 +701,27 @@ class TestRecoverPointwise:
                         sliver += max(f.residual for f in forms) > cfg.tol_rel
         # some recovered maps have a block whose own-scale residual is above tol_rel
         assert sliver
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_each_point_is_fitted_and_measured_once(self, field, monkeypatch):
+        # one inversion of S per point, no per-block Superoperator, and the
+        # residual is the one verify_pointwise measures on its own
+        k = 8
+        T = perturb(gen_pointwise(k, 3, 1, FieldConfig(field=field)).map, 1e-12, 1)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return invert(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block was built as a Superoperator")
+
+        monkeypatch.setattr(structure, "invert", counted)
+        monkeypatch.setattr(funcalg, "Superoperator", refuse)
+        form = recover_pointwise(T)
+        assert calls == [(3, 3)] * k
+        assert form.residual == verify_pointwise(T, form)
 
 
 class TestVerifyPointwise:

@@ -311,7 +311,7 @@ class TestFitConjugation:
         monkeypatch.setattr(structure, "_deviations", refuse)
         for T in perturbed:
             with pytest.raises(NotRankOnePreserving):
-                fit_conjugation(T, basis_image_array(T.mat))
+                fit_conjugation(basis_image_array(T.mat), T.cfg)
         for T in transposes:
             with pytest.raises(NotFactorizable):
-                fit_conjugation(T, basis_image_array(T.mat))
+                fit_conjugation(basis_image_array(T.mat), T.cfg)

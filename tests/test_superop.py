@@ -28,6 +28,12 @@ def test_vec_convention_is_column_major():
     A = np.array([[1.0, 3.0], [2.0, 4.0]])
     np.testing.assert_array_equal(vec(A), [1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(unvec(vec(A), 2), A)
+    # a stack of matrices is vectorized matrix by matrix, bit for bit
+    stack = gaussian(np.random.default_rng(0), (5, 3, 3), FieldConfig(field="complex"))
+    vecs = vec(stack)
+    assert vecs.tobytes() == np.stack([vec(M) for M in stack]).tobytes()
+    assert unvec(vecs, 3).tobytes() == np.stack([unvec(v, 3) for v in vecs]).tobytes()
+    assert unvec(vecs, 3).tobytes() == stack.tobytes()
 
 
 def test_identity_superop():
