@@ -13,12 +13,14 @@ outcome through the exit code:
 
 Each ``cmd_*`` fills in the report ``main`` hands it; ``main`` maps a raised
 error to the report's status and prints the report once.  Bad arguments are
-usage errors: a message on stderr, no report, exit 1.
+usage errors: a message on stderr, no report, exit 1.  A report to a stdout
+that its reader has closed is dropped, and the exit code is the command's.
 """
 
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 
@@ -383,9 +385,15 @@ def main(argv=None) -> int:
         code = EXIT_ERROR
     report["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     try:
-        print(dumps(report))
-    except UnicodeEncodeError:  # a stdout that cannot write UTF-8 text
-        print(dumps_ascii(report))
+        try:
+            print(dumps(report), flush=True)
+        except UnicodeEncodeError:  # a stdout that cannot write UTF-8 text
+            print(dumps_ascii(report), flush=True)
+    except BrokenPipeError:  # the reader closed stdout: the exit code still tells
+        # point fd 1 at devnull, so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -262,12 +262,12 @@ def is_strictly_separating(T: BigSuperoperator) -> Verdict:
     xa, xb = collide[0]
     x2 = int(np.flatnonzero(reach[:, xa] & reach[:, xb])[0])
     imgs = basis_image_array(T.blocks)
-    unit_a = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xa]), cfg)
-    unit_b = _matrix_unit(T.n_in, *_best_unit(imgs[x2, xb]), cfg)
-    F1 = delta_fn(T.space_in, T.space_in.labels[xa], unit_a, cfg)
-    F2 = delta_fn(T.space_in, T.space_in.labels[xb], unit_b, cfg)
+    ia, ib = _best_unit(imgs[x2, xa]), _best_unit(imgs[x2, xb])
+    F1 = delta_fn(T.space_in, T.space_in.labels[xa], _matrix_unit(T.n_in, *ia, cfg), cfg)
+    F2 = delta_fn(T.space_in, T.space_in.labels[xb], _matrix_unit(T.n_in, *ib, cfg), cfg)
     label2 = T.space_out.labels[x2]
-    violation = frob(apply_fn(T, F1).at(label2)) * frob(apply_fn(T, F2).at(label2))
+    # the images of the two units at label2 are the basis images the units were picked by
+    violation = frob(imgs[x2, xa][ia]) * frob(imgs[x2, xb][ib])
     ce = FunctionCounterexample(F1, F2, label2, product_in_norm=0.0, violation_norm=violation)
     return Verdict(NOT_SEPARATING, counterexample=ce)
 

@@ -14,12 +14,12 @@ characters are not escaped).  stdlib json decides only what orjson refuses
 (None, and NaN and the infinities, which it refuses with ValueError); it
 writes the same layout, floats by repr and non-ASCII escaped.
 
-``matrix_from_json``, and the block-map reader for all its blocks at once,
-builds one float64 array once the shape and the entry types check out.
-Every matrix entry must be a JSON number that is a finite double; on a bad
-entry the per-entry walk runs and its SchemaError names the entry.  A map,
-or one block of it, that ``FieldConfig.asarray`` refuses as too large is a
-SchemaError naming ``matrix`` or the block key.
+A map is built once, as one float64 array (a block map's blocks as one
+stack), and admitted once, by its constructor.  Only a refused map is walked,
+and the walk only names the refusal, in order: a bad block key, row or entry
+(each entry a JSON number that is a finite double), a matrix or block with a
+non-finite entry or too large alone for ``FieldConfig.asarray``, else
+``blocks``, whose blocks are too large together.
 
 Files are decoded by orjson from their bytes.  stdlib json decides only the
 files orjson refuses (NaN and Infinity tokens, numbers beyond the double
@@ -95,11 +95,8 @@ def dumps_ascii(obj) -> str:
 
 
 def scalar_to_json(x, field):
-    if field == COMPLEX:
-        x = complex(x)
-        return [x.real, x.imag]
     x = complex(x)
-    return x.real
+    return [x.real, x.imag] if field == COMPLEX else x.real
 
 
 def matrix_to_json(A, field):
@@ -156,90 +153,81 @@ def _scalar_from_json(v, field, where):
         raise SchemaError(f"entry at {where} is too large for a double", field=where) from None
 
 
-def _nest_shape(values):
-    """(shape, entries) when the list ``values`` nests non-empty lists evenly
-    down to entries that are all ints or floats, with the entries flattened in
-    C order; None otherwise."""
-    shape, level = [len(values)], values
-    while True:
-        kinds = set(map(type, level))
-        if kinds and kinds <= {float, int}:
-            return tuple(shape), level
-        widths = set(map(len, level)) if kinds == {list} else ()
-        if len(widths) != 1 or 0 in widths:
+def _nest_entries(rows, full):
+    """The entries of ``rows`` in C order when it nests lists evenly as the
+    shape ``full`` down to ints and floats (not bools); None otherwise."""
+    level = [rows]
+    for width in full:
+        lists = all(issubclass(kind, list) for kind in set(map(type, level)))
+        if not lists or set(map(len, level)) - {width}:
             return None
-        shape.append(len(level[0]))
         level = list(chain.from_iterable(level))
+    kinds = set(map(type, level))
+    return level if all(issubclass(k, (int, float)) and k is not bool for k in kinds) else None
 
 
 def _float_rows(rows, field, shape):
-    """``rows`` as an array of ``shape``, built in one step; None when any
-    check fails, so that the per-entry walk names the bad entry."""
+    """``rows`` as an array of ``shape``, built in one step; None when it
+    does not nest as ``shape`` down to numbers of ``field`` or an integer
+    overflows a double.  Entries are not tested for finiteness."""
     full = shape + ((2,) if field == COMPLEX else ())
-    # int and float entries only: bools, strings and null go to the walk
-    nest = _nest_shape(rows) if isinstance(rows, list) else None
-    if nest is None or nest[0] != full:
+    entries = _nest_entries(rows, full)
+    if entries is None:
         return None
     try:
-        a = np.array(nest[1], dtype=np.float64).reshape(full)
+        a = np.array(entries, dtype=np.float64).reshape(full)
     except OverflowError:
-        return None
-    if not np.isfinite(a).all():
         return None
     # the [re, im] pairs viewed as complex128 keep signed zeros, as complex(re, im) does
     return a.view(np.complex128).reshape(shape) if field == COMPLEX else a
 
 
-def matrix_from_json(rows, field, shape, where):
-    block = _float_rows(rows, field, shape)
-    if block is not None:
-        return block
+def _read_rows(rows, field, shape, where):
+    """``rows`` as ``_float_rows`` builds it; when the build refuses them, a
+    SchemaError names the first bad row or entry, walked in order."""
+    a = _float_rows(rows, field, shape)
+    if a is not None:
+        return a
     if not isinstance(rows, list) or len(rows) != shape[0]:
-        raise SchemaError(
-            f"field {where!r} must be a list of {shape[0]} rows", field=where
-        )
-    out = np.zeros(shape, dtype=np.complex128 if field == COMPLEX else np.float64)
+        raise SchemaError(f"field {where!r} must be a list of {shape[0]} rows", field=where)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != shape[1]:
             raise SchemaError(
                 f"row {where}[{r}] must have {shape[1]} entries", field=f"{where}[{r}]"
             )
         for c, v in enumerate(row):
-            out[r, c] = _scalar_from_json(v, field, f"{where}[{r}][{c}]")
-    if not np.isfinite(out).all():
+            _scalar_from_json(v, field, f"{where}[{r}][{c}]")
+    raise AssertionError(f"_float_rows refused {where}, yet no row or entry is bad")
+
+
+def _finite(a, where):
+    if not np.isfinite(a).all():
         raise SchemaError(f"field {where!r} contains non-finite entries", field=where)
-    return out
+    return a
+
+
+def matrix_from_json(rows, field, shape, where):
+    """A truth file's matrix: ``rows`` read as ``_read_rows`` reads them, and finite."""
+    return _finite(_read_rows(rows, field, shape, where), where)
 
 
 def _admit(cfg, a, where):
-    """``a`` as ``cfg`` admits it; a refusal is a SchemaError naming ``where``."""
+    """Raise the SchemaError naming ``where`` when ``cfg`` does not admit ``a``."""
+    _finite(a, where)
     try:
-        return cfg.asarray(a)
+        cfg.asarray(a)
     except ValueError as exc:
         raise SchemaError(f"field {where!r}: {exc}", field=where) from None
 
 
-def _admits(cfg, a):
-    """Whether ``cfg`` admits ``a``."""
-    try:
-        cfg.asarray(a)
-    except ValueError:
-        return False
-    return True
-
-
 def _block_index(raw_blocks, points_out, points_in):
-    """(out indices, in indices) of the 'out_point/in_point' keys of
-    ``raw_blocks``, in key order; None when a key names no known pair."""
-    out_at = {lab: x for x, lab in enumerate(points_out)}
+    """The index x2 * k_in + x1 of the pair each 'out_point/in_point' key of
+    ``raw_blocks`` names, in key order; None for a key that names no known pair."""
+    out_at = {lab: x * len(points_in) for x, lab in enumerate(points_out)}
     in_at = {lab: x for x, lab in enumerate(points_in)}
     # labels hold no '/', so a key with another '/' leaves no label on the right
-    pairs = [key.partition("/")[::2] for key in raw_blocks]
-    x2 = [out_at.get(lab_out) for lab_out, _ in pairs]
-    x1 = [in_at.get(lab_in) for _, lab_in in pairs]
-    if None in x2 or None in x1:
-        return None
-    return x2, x1
+    pairs = (key.partition("/")[::2] for key in raw_blocks)
+    return [out_at[o] + in_at[i] if o in out_at and i in in_at else None for o, i in pairs]
 
 
 def _labels_from_json(obj, key):
@@ -319,11 +307,12 @@ def instance_from_json(obj, tol_rel=DEFAULT.tol_rel, tol_abs=DEFAULT.tol_abs):
     cfg = FieldConfig(field=field, tol_rel=tol_rel, tol_abs=tol_abs)
     if kind == KIND_SUPEROP:
         check_size(n_in, n_out, 1, 1)
-        mat = matrix_from_json(_need(obj, "matrix", list), field, (n_out**2, n_in**2), "matrix")
+        mat = _read_rows(_need(obj, "matrix", list), field, (n_out**2, n_in**2), "matrix")
         try:
             return Superoperator(n_in=n_in, n_out=n_out, mat=mat, cfg=cfg)
-        except ValueError as exc:  # a map too large to multiply
-            raise SchemaError(f"field 'matrix': {exc}", field="matrix") from None
+        except ValueError:  # non-finite entries, or a map too large to multiply
+            _admit(cfg, mat, "matrix")
+            raise
 
     points_in = _labels_from_json(obj, "points_in")
     points_out = _labels_from_json(obj, "points_out")
@@ -331,31 +320,30 @@ def instance_from_json(obj, tol_rel=DEFAULT.tol_rel, tol_abs=DEFAULT.tol_abs):
     space_in = DiscreteSpace(points_in)
     space_out = DiscreteSpace(points_out)
     raw_blocks = _need(obj, "blocks", dict)
-    blocks = np.zeros((space_out.k, space_in.k, n_out**2, n_in**2), dtype=cfg.dtype)
-    # all blocks in one array build, admitted and placed at once; if any key,
-    # entry or block is bad, each block is read on its own, so the first bad
-    # key, entry or block is the one named
-    stack = _float_rows(list(raw_blocks.values()), field, (len(raw_blocks),) + blocks.shape[2:])
+    shape = (n_out**2, n_in**2)
+    # all blocks in one array build, placed at once and admitted by the constructor
+    stack = _float_rows(list(raw_blocks.values()), field, (len(raw_blocks),) + shape)
     index = _block_index(raw_blocks, points_out, points_in)
-    if stack is not None and index is not None and _admits(cfg, stack):
+    if stack is not None and None not in index:
+        blocks = np.zeros((space_out.k * space_in.k,) + shape, dtype=cfg.dtype)
         blocks[index] = stack
-    else:
-        for key, rows in raw_blocks.items():
-            parts = key.split("/")
-            if len(parts) != 2 or parts[0] not in points_out or parts[1] not in points_in:
-                raise SchemaError(
-                    f"blocks key {key!r} must be 'out_point/in_point' with known labels",
-                    field=f"blocks[{key!r}]",
-                )
-            where = f"blocks[{key!r}]"
-            block = matrix_from_json(rows, field, blocks.shape[2:], where)
-            blocks[points_out.index(parts[0]), points_in.index(parts[1])] = _admit(cfg, block, where)
-    try:
-        return BigSuperoperator(
-            space_in=space_in, space_out=space_out, n_in=n_in, n_out=n_out, blocks=blocks, cfg=cfg
-        )
-    except ValueError as exc:  # blocks that each pass can still be too large together
-        raise SchemaError(f"field 'blocks': {exc}", field="blocks") from None
+        blocks = blocks.reshape((space_out.k, space_in.k) + shape)
+        try:
+            return BigSuperoperator(
+                space_in=space_in, space_out=space_out, n_in=n_in, n_out=n_out, blocks=blocks, cfg=cfg
+            )
+        except ValueError as exc:
+            refusal = exc
+    # a refused map: the first bad key, entry or block alone is named, in key order
+    for (key, rows), at in zip(raw_blocks.items(), index):
+        where = f"blocks[{key!r}]"
+        if at is None:
+            raise SchemaError(
+                f"blocks key {key!r} must be 'out_point/in_point' with known labels", field=where
+            )
+        _admit(cfg, _read_rows(rows, field, shape, where), where)
+    # blocks that each pass can still be too large together
+    raise SchemaError(f"field 'blocks': {refusal}", field="blocks")
 
 
 # orjson (3.8) builds nested values by recursion without a limit: a file

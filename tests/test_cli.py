@@ -17,6 +17,7 @@ from bisep.instancefile import MAX_ENTRIES, instance_to_json, load_truth, save_i
 from bisep import (FieldConfig, Superoperator, conjugation_superop, gen_conjugation, gen_pointwise,
                    gen_transpose)
 from bisep.errors import DimensionMismatch
+from bisep.separating import NOT_SEPARATING, Counterexample, Verdict
 from bisep.superop import apply
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -221,6 +222,29 @@ class TestCheckOutcomes:
         assert code == 0
         assert rep["sampled_status"] == "separating"
 
+    def test_sampled_witness_overrules_a_positive(self, tmp_path, capsys, monkeypatch,
+                                                  report_schema):
+        # a sampled not_separating verdict on a map the exact check passes is
+        # the report's verdict, with the sampled pair as its forward witness
+        inst = tmp_path / "inst.json"
+        run_cli(capsys, "gen", "superop", inst, "--n", 2, "--seed", 4)
+        A, B = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])
+        witness = Counterexample(A=A, B=B, product_in_norm=0.0, violation_norm=0.25)
+        calls = []
+
+        def sampled(T, trials, seed):
+            calls.append((trials, seed))
+            return Verdict(NOT_SEPARATING, counterexample=witness)
+
+        monkeypatch.setattr("bisep.cli.is_separating_sampled", sampled)
+        code, rep = run_cli(capsys, "check", inst, "--sampled", 10, "--seed", 3)
+        assert (code, calls) == (2, [(10, 3)])
+        assert (rep["status"], rep["direction"], rep["sampled_status"]) == (
+            "not_separating", "forward", "not_separating")
+        assert rep["counterexample"] == {"product_in_norm": 0.0, "violation_norm": 0.25,
+                                         "A": A.tolist(), "B": B.tolist()}
+        report_schema(rep)
+
     def test_sampled_flag_on_a_block_map_is_invalid(self, tmp_path, capsys, report_schema):
         inst = tmp_path / "big.json"
         run_cli(capsys, "gen", "big_superop", inst, "--k", 2, "--n", 2, "--seed", 4)
@@ -402,6 +426,52 @@ def test_deeply_nested_file_does_not_crash_the_interpreter(tmp_path, report_sche
     report_schema(report)
 
 
+def test_instance_nested_past_the_guard_is_a_schema_error(tmp_path, report_schema):
+    # an instance with a field nested 2 * 10**5 deep: the depth guard keeps it
+    # from orjson, whose recursion would overflow the C stack
+    path = tmp_path / "deep.json"
+    depth = 2 * 10**5
+    path.write_text('{"kind": "superop", "x": ' + "[" * depth + "]" * depth + "}")
+    proc = subprocess.run([sys.executable, "-m", "bisep.cli", "check", str(path)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = json.loads(proc.stdout)
+    assert (report["status"], report["field"]) == ("schema_error", "$")
+    assert "nested too deeply" in report["error"]
+    report_schema(report)
+
+
+def test_instance_nested_past_orjsons_depth_reads_through_stdlib_json(tmp_path, capsys,
+                                                                      monkeypatch):
+    from bisep import instancefile
+
+    obj = instance_to_json(Superoperator(1, 1, np.array([[2.0]])))
+    text = json.dumps(obj)[:-1] + ', "extra": ' + "[" * 500 + "]" * 500 + "}"
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert instancefile._nesting_depth(text.encode()) > instancefile.ORJSON_MAX_DEPTH
+    decoded = []
+    monkeypatch.setattr(instancefile.json, "loads",
+                        lambda s, _loads=json.loads: decoded.append(len(s)) or _loads(s))
+    code, rep = run_cli(capsys, "check", path)
+    assert (code, rep["status"]) == (0, "biseparating")
+    assert decoded[0] == len(text)  # the file, and then the report run_cli reads back
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    # a reader that closes the pipe before the report is written: no
+    # traceback, and the exit code is the property's
+    inst = tmp_path / "tr.json"
+    save_instance(inst, gen_transpose(12))
+    for _ in range(3):
+        proc = subprocess.Popen([sys.executable, "-m", "bisep.cli", "check", str(inst)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (2, b"")
+
+
 def test_non_ascii_report_on_an_ascii_stdout(tmp_path, monkeypatch):
     # the report names a path orjson writes as UTF-8; stdlib json escapes it
     out = io.BytesIO()
@@ -441,6 +511,29 @@ def test_every_failure_prints_one_report(tmp_path, capsys, monkeypatch, report_s
 
 
 class TestDecomposeFailures:
+    def test_non_endomorphism_is_a_dimension_mismatch(self, tmp_path, capsys, report_schema):
+        inst = tmp_path / "rect.json"
+        save_instance(inst, Superoperator(2, 3, np.ones((9, 4))))
+        code, rep = run_cli(capsys, "decompose", inst)
+        assert (code, rep["status"]) == (2, "dimension_mismatch")
+        assert rep["error"] == "recovery needs n_in = n_out, got 2 -> 3"
+        assert "residual" not in rep
+        report_schema(rep)
+
+    def test_failed_fit_reports_its_residual(self, tmp_path, capsys, report_schema):
+        # E_12's image moved by 1e-6 of its norm: every fit step passes, and
+        # the full-basis residual refuses the form
+        T = gen_conjugation(3, 1).map
+        mat = T.mat.copy()
+        mat[:, 3] += 1e-6 * np.linalg.norm(mat[:, 3])  # column-major vec index of E_12
+        inst = tmp_path / "near.json"
+        save_instance(inst, Superoperator(3, 3, mat))
+        code, rep = run_cli(capsys, "decompose", inst)
+        assert (code, rep["status"]) == (2, "not_standard_form")
+        assert rep["residual"] == pytest.approx(1.3549e-6, rel=1e-4)
+        assert "residual" in rep["error"]
+        report_schema(rep)
+
     def test_transpose_names_the_failing_step(self, tmp_path, capsys):
         inst = tmp_path / "tr.json"
         run_cli(capsys, "gen", "superop", inst, "--n", 2, "--negative", "transpose")

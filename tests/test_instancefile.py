@@ -793,6 +793,30 @@ class TestBlockMapReader:
             instance_from_json(obj)
         assert exc.value.field == "blocks['y9/x1']"
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_valid_map_is_admitted_once(self, monkeypatch, field):
+        cfg = FieldConfig(field=field)
+        objs = [instance_to_json(perturb(gen_pointwise(3, 2, seed=4, cfg=cfg).map, 1e-3, seed=4)),
+                instance_to_json(gen_conjugation(3, 1, cfg=cfg).map)]
+        admitted = []
+        asarray = FieldConfig.asarray
+
+        def counted(self, a, stacked=False):
+            admitted.append(np.shape(a))
+            return asarray(self, a, stacked)
+
+        monkeypatch.setattr(FieldConfig, "asarray", counted)
+        big, superop = (instance_from_json(obj) for obj in objs)
+        assert admitted == [big.blocks.shape, superop.mat.shape]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_no_blocks_is_the_zero_map(self, field):
+        obj = instance_to_json(gen_pointwise(2, 2, seed=1, cfg=FieldConfig(field=field)).map)
+        obj["blocks"] = {}
+        T = instance_from_json(obj)
+        assert T.blocks.shape == (2, 2, 4, 4) and T.blocks.dtype == T.cfg.dtype
+        assert not T.blocks.any()
+
     def test_blocks_land_where_their_keys_say(self):
         obj = _dense_big_obj()
         obj["blocks"] = dict(reversed(list(obj["blocks"].items())))
